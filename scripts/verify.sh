@@ -19,11 +19,9 @@
 #                    API surface the examples exercise is caught by the
 #                    tier-1 gate.
 #
-#   --bench-gate     run the four gated benchmarks in smoke mode (recording
-#                    them in the experiment registry, results/registry/) and
-#                    then scripts/regression_gate.py against the committed
-#                    results/baselines.json; extra arguments are forwarded
-#                    to regression_gate.py (e.g. --advisory, --tolerance).
+# Performance is not gated here: bench/ is the performance gate
+# (python3 bench/run.py, then python3 bench/compare.py parent.jsonl
+# change.jsonl; see bench/README.md).
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -45,19 +43,6 @@ if [[ "${1:-}" == "--examples" ]]; then
         REPRO_EXAMPLES_SMOKE=1 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python "$example"
     done
     echo "== all examples passed =="
-    exit 0
-fi
-
-if [[ "${1:-}" == "--bench-gate" ]]; then
-    shift
-    echo "== bench-gate: gated benchmarks (smoke) =="
-    REPRO_BENCH_MODE=smoke PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -x -q \
-        benchmarks/test_backend_throughput.py \
-        benchmarks/test_merge_throughput.py \
-        benchmarks/test_sparse_backend_scaling.py \
-        benchmarks/test_fig4_strong_scaling.py
-    echo "== bench-gate: scripts/regression_gate.py =="
-    PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python scripts/regression_gate.py "$@"
     exit 0
 fi
 

@@ -21,13 +21,7 @@ expressed as one entry point::
     graph = challenge_graph("20k-hard", scale=0.05, seed=0)
     result = partition(graph, strategy="edist", config="fast", num_ranks=4)
     print(result.num_communities, result.nmi())
-
-The pre-registry entry points (``stochastic_block_partition``,
-``divide_and_conquer_sbp``, ``edist``) remain importable from here but are
-deprecated shims over :func:`partition`.
 """
-
-import warnings as _warnings
 
 from repro.api import (
     Partitioner,
@@ -44,9 +38,6 @@ from repro.api import (
     register_strategy,
 )
 from repro.core import SBPConfig, SBPResult
-from repro.core import dcsbp as _dcsbp_module
-from repro.core import edist as _edist_module
-from repro.core import sbp as _sbp_module
 from repro.graphs import Graph
 from repro.graphs.generators import (
     challenge_graph,
@@ -58,50 +49,7 @@ from repro.graphs.generators import (
 )
 from repro.evaluation import normalized_mutual_information, normalized_description_length
 
-__version__ = "2.0.0"
-
-
-def _deprecated(old_name: str, replacement: str) -> None:
-    _warnings.warn(
-        f"repro.{old_name}() is deprecated; use {replacement} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def stochastic_block_partition(graph, config=None, **kwargs):
-    """Deprecated shim for the ``"sequential"`` strategy.
-
-    Use ``partition(graph, strategy="sequential", config=config)``.
-    Driver-internal keyword arguments (``initial_blockmodel`` …) are
-    forwarded to the core driver unchanged.
-    """
-    _deprecated("stochastic_block_partition", "repro.partition(graph, strategy='sequential', ...)")
-    if kwargs:
-        return _sbp_module.stochastic_block_partition(graph, config, **kwargs)
-    return partition(graph, strategy="sequential", config=config)
-
-
-def divide_and_conquer_sbp(graph, num_ranks, config=None, **kwargs):
-    """Deprecated shim for the ``"dcsbp"`` strategy.
-
-    Use ``partition(graph, strategy="dcsbp", config=config, num_ranks=n)``.
-    """
-    _deprecated("divide_and_conquer_sbp", "repro.partition(graph, strategy='dcsbp', ...)")
-    if kwargs:
-        return _dcsbp_module.divide_and_conquer_sbp(graph, num_ranks, config, **kwargs)
-    return partition(graph, strategy="dcsbp", config=config, num_ranks=num_ranks)
-
-
-def edist(graph, num_ranks, config=None, **kwargs):
-    """Deprecated shim for the ``"edist"`` strategy.
-
-    Use ``partition(graph, strategy="edist", config=config, num_ranks=n)``.
-    """
-    _deprecated("edist", "repro.partition(graph, strategy='edist', ...)")
-    if kwargs:
-        return _edist_module.edist(graph, num_ranks, config, **kwargs)
-    return partition(graph, strategy="edist", config=config, num_ranks=num_ranks)
+__version__ = "3.0.0"
 
 
 __all__ = [
@@ -120,10 +68,6 @@ __all__ = [
     "available_presets",
     "SBPConfig",
     "SBPResult",
-    # Deprecated pre-registry entry points (shims over partition())
-    "stochastic_block_partition",
-    "divide_and_conquer_sbp",
-    "edist",
     # Graphs and evaluation
     "Graph",
     "challenge_graph",

@@ -1,4 +1,4 @@
-"""repro.registry — the append-only experiment run registry + regression gate.
+"""repro.registry — the append-only experiment run registry.
 
 Every benchmark invocation appends one schema-validated
 :class:`~repro.registry.record.RunRecord` (config, preset, seed, git rev +
@@ -12,12 +12,11 @@ Layers:
 * :mod:`repro.registry.provenance`  — git rev / dirty flag / hostname / RSS;
 * :mod:`repro.registry.store`       — JSONL append / read-back / summaries;
 * :mod:`repro.registry.phases`      — per-phase timing collector fed by the
-  harness's ``run_algorithm`` during a measured benchmark call;
-* :mod:`repro.registry.gate`        — the perf-regression gate CI consumes
-  (``scripts/regression_gate.py`` is its CLI).
+  harness's ``run_algorithm`` during a measured benchmark call.
 
-The whole package is stdlib-only, so gate tooling can read registry history
-without the numeric stack.
+The whole package is stdlib-only, so tooling can read registry history
+without the numeric stack.  The registry records runs for observability;
+parent-vs-change performance comparison lives in ``bench/compare.py``.
 """
 
 from repro.registry.record import SCHEMA_VERSION, RunRecord, utc_timestamp
@@ -31,16 +30,6 @@ from repro.registry.store import (
     registry_dir,
     run_path,
     summarize,
-)
-from repro.registry.gate import (
-    DEFAULT_TOLERANCE,
-    GATED_EXPERIMENTS,
-    GateCheck,
-    GateReport,
-    default_baselines_path,
-    evaluate_gate,
-    load_baselines,
-    refresh_baselines,
 )
 
 __all__ = [
@@ -60,12 +49,4 @@ __all__ = [
     "config_fingerprint",
     "registry_dir",
     "run_path",
-    "GATED_EXPERIMENTS",
-    "DEFAULT_TOLERANCE",
-    "GateCheck",
-    "GateReport",
-    "evaluate_gate",
-    "load_baselines",
-    "refresh_baselines",
-    "default_baselines_path",
 ]

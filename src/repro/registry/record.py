@@ -13,9 +13,8 @@ offending field, and :meth:`RunRecord.from_dict` rejects unknown *and* missing
 fields rather than silently dropping or defaulting them, so stale or typo'd
 registry lines surface immediately.
 
-This module is deliberately stdlib-only so the regression gate
-(``scripts/regression_gate.py``) can load registry history without importing
-the numeric stack.
+This module is deliberately stdlib-only so tooling can load registry history
+without importing the numeric stack.
 """
 
 from __future__ import annotations

@@ -134,8 +134,7 @@ def summarize(
 
     Returns one row per :func:`config_fingerprint` group (insertion order),
     with the run count and the median / min / latest wall-clock — median for
-    the central tendency, min as the noise-floor estimate the regression
-    gate's baselines are refreshed from.
+    the central tendency, min as the noise-floor estimate.
     """
     groups: Dict[str, List[RunRecord]] = {}
     for record in read_runs(experiment, directory=directory, mode=mode):

@@ -36,6 +36,9 @@ from repro.service.schemas import ValidationError, validate_job_request
 
 __all__ = ["ApiError", "PartitionService", "create_server"]
 
+#: Largest request body the server reads; bigger ones are refused with 413.
+MAX_BODY_BYTES = 64 * 2**20
+
 
 class ApiError(Exception):
     """An HTTP-level failure carrying its status code (and offending field)."""
@@ -168,8 +171,18 @@ class _JobRequestHandler(BaseHTTPRequestHandler):
     # Plumbing
     # ------------------------------------------------------------------
     def _read_json_body(self) -> object:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
+        header = (self.headers.get("Content-Length") or "0").strip()
+        if not (header.isascii() and header.isdigit()):
+            # The body's extent is unknown, so its bytes cannot be skipped.
+            self.close_connection = True
+            raise ApiError(400, f"Content-Length must be a non-negative integer, got {header!r}",
+                           field="Content-Length")
+        length = int(header)
+        if length > MAX_BODY_BYTES:
+            self.close_connection = True
+            raise ApiError(413, f"Content-Length {length} exceeds the {MAX_BODY_BYTES}-byte limit",
+                           field="Content-Length")
+        if length == 0:
             raise ApiError(400, "request body is required", field="body")
         raw = self.rfile.read(length)
         try:
@@ -182,6 +195,8 @@ class _JobRequestHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 

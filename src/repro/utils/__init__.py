@@ -1,4 +1,4 @@
-"""Shared utilities: random number management, timers, and lightweight logging.
+"""Shared utilities: random number management and timers.
 
 These helpers are intentionally dependency-free (beyond NumPy) so that every
 other subpackage can use them without creating import cycles.
@@ -6,7 +6,6 @@ other subpackage can use them without creating import cycles.
 
 from repro.utils.rng import RngRegistry, spawn_rng, derive_seed
 from repro.utils.timing import Timer, PhaseTimer
-from repro.utils.log import get_logger
 
 __all__ = [
     "RngRegistry",
@@ -14,5 +13,4 @@ __all__ = [
     "derive_seed",
     "Timer",
     "PhaseTimer",
-    "get_logger",
 ]

@@ -1,15 +1,12 @@
-"""Old→new API boundary: the facade must be bit-identical to the legacy paths.
+"""Facade vs. core drivers: ``partition()`` must be bit-identical to them.
 
-The acceptance bar for the ``repro.api`` redesign: under fixed seeds,
-``partition(graph, strategy=s)`` reproduces the legacy entry points exactly
-(assignments, description lengths, full history) for every strategy and
-every registered storage backend, and the deprecated top-level shims route
-through the facade without perturbing results.
+Under fixed seeds, ``partition(graph, strategy=s)`` reproduces the core
+driver it dispatches to (``repro.core.sbp`` / ``dcsbp`` / ``edist`` /
+``reference``) exactly — assignments, description lengths, full history —
+for every strategy and every registered storage backend.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 import pytest
@@ -51,20 +48,13 @@ def test_facade_matches_legacy_on_sparse_graph(
     assert_results_identical(via_legacy, via_facade)
 
 
-def test_deprecated_shims_match_facade(diff_graph_a, diff_config):
-    """The top-level shims warn but produce bit-identical results."""
-    shim_cases = [
-        (lambda: repro.stochastic_block_partition(diff_graph_a, diff_config), "sequential", 1),
-        (lambda: repro.divide_and_conquer_sbp(diff_graph_a, 2, diff_config), "dcsbp", 2),
-        (lambda: repro.edist(diff_graph_a, 2, diff_config), "edist", 2),
-    ]
-    for shim, strategy, num_ranks in shim_cases:
-        with pytest.warns(DeprecationWarning):
-            via_shim = shim()
-        via_facade = partition(
+def test_top_level_partition_matches_core_drivers(diff_graph_a, diff_config):
+    """``repro.partition``, the one top-level entry point, reproduces each driver."""
+    for strategy, legacy, num_ranks in CASES[:3]:
+        via_top_level = repro.partition(
             diff_graph_a, strategy=strategy, config=diff_config, num_ranks=num_ranks
         )
-        assert_results_identical(via_shim, via_facade)
+        assert_results_identical(legacy(diff_graph_a, diff_config), via_top_level)
 
 
 def test_partitioner_and_handle_match_partition(diff_graph_a, diff_config):
@@ -92,9 +82,7 @@ def test_lifecycle_plumbing_does_not_perturb_legacy_results(diff_graph_a, diff_c
             self.events += 1
 
     observer = Recording()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        bare = stochastic_block_partition(diff_graph_a, diff_config)
+    bare = stochastic_block_partition(diff_graph_a, diff_config)
     observed = partition(
         diff_graph_a, strategy="sequential", config=diff_config, observers=[observer]
     )

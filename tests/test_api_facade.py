@@ -1,4 +1,4 @@
-"""The unified public API: registry, facade dispatch, config resolution, shims."""
+"""The unified public API: registry, facade dispatch, config resolution."""
 
 from __future__ import annotations
 
@@ -185,32 +185,15 @@ class TestPartitioner:
 
 
 class TestDeprecatedShims:
-    """The legacy entry points keep working but warn."""
+    """The deprecated top-level shims are gone; the core drivers stay."""
 
-    def test_stochastic_block_partition_warns_and_matches(self, planted_graph, fast_config):
-        with pytest.warns(DeprecationWarning, match="partition"):
-            legacy = repro.stochastic_block_partition(planted_graph, fast_config)
-        modern = partition(planted_graph, strategy="sequential", config=fast_config)
-        assert np.array_equal(legacy.assignment, modern.assignment)
-        assert legacy.description_length == modern.description_length
-
-    def test_divide_and_conquer_sbp_warns_and_matches(self, planted_graph, fast_config):
-        with pytest.warns(DeprecationWarning, match="partition"):
-            legacy = repro.divide_and_conquer_sbp(planted_graph, 2, fast_config)
-        modern = partition(planted_graph, strategy="dcsbp", config=fast_config, num_ranks=2)
-        assert np.array_equal(legacy.assignment, modern.assignment)
-        assert legacy.description_length == modern.description_length
-
-    def test_edist_warns_and_matches(self, planted_graph, fast_config):
-        with pytest.warns(DeprecationWarning, match="partition"):
-            legacy = repro.edist(planted_graph, 2, fast_config)
-        modern = partition(planted_graph, strategy="edist", config=fast_config, num_ranks=2)
-        assert np.array_equal(legacy.assignment, modern.assignment)
-        assert legacy.description_length == modern.description_length
+    @pytest.mark.parametrize("name", ["stochastic_block_partition", "divide_and_conquer_sbp", "edist"])
+    def test_shim_is_removed(self, name):
+        with pytest.raises(AttributeError):
+            getattr(repro, name)
 
     def test_core_module_entry_points_do_not_warn(self, planted_graph, fast_config):
-        # Internal callers (and this test-suite) import the drivers from
-        # repro.core.*; only the top-level shims are deprecated.
+        # Callers that need a driver directly import it from repro.core.*.
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             stochastic_block_partition(planted_graph, fast_config)

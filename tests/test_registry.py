@@ -9,6 +9,7 @@ across interleaved writers.
 
 from __future__ import annotations
 
+import importlib
 import json
 import threading
 
@@ -177,6 +178,17 @@ def test_read_runs_mode_filter_and_latest(tmp_path):
     assert [r.wall_seconds for r in smoke] == [1.0, 2.0]
     assert latest_run("backend_throughput", tmp_path, mode="smoke").wall_seconds == 2.0
     assert latest_run("backend_throughput", tmp_path, mode="quick").wall_seconds == 9.0
+
+
+def test_latest_run_is_the_last_appended_not_the_fastest(tmp_path):
+    append_run(make_record(wall_seconds=1.0), tmp_path)
+    append_run(make_record(wall_seconds=5.0), tmp_path)
+    assert latest_run("backend_throughput", tmp_path).wall_seconds == 5.0
+
+
+def test_registry_has_no_gate_module():
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.registry.gate")
 
 
 def test_read_runs_names_file_and_line_on_corruption(tmp_path):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import http.client
 import json
 import threading
 import time
@@ -17,6 +18,7 @@ from repro.core.context import RunContext
 from repro.core.results import SBPResult
 from repro.graphs.io import graph_to_dict
 from repro.service import JobExecutor, PartitionService
+from repro.service.http_api import MAX_BODY_BYTES
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -69,6 +71,33 @@ class TestRoutingAndErrors:
         status, payload = call(service.base_url + "/jobs", "POST", raw=b"{not json")
         assert status == 400
         assert payload["error"]["field"] == "body"
+
+    @pytest.mark.parametrize("content_length, status", [
+        ("abc", 400),
+        ("-5", 400),
+        ("1.5", 400),
+        ("0x10", 400),
+        (str(MAX_BODY_BYTES + 1), 413),
+    ])
+    def test_bad_content_length_closes_then_serves_next_request(
+        self, service, content_length, status
+    ):
+        conn = http.client.HTTPConnection(service.host, service.port, timeout=30)
+        try:
+            conn.putrequest("POST", "/jobs")
+            conn.putheader("Content-Type", "application/json")
+            conn.putheader("Content-Length", content_length)
+            conn.endheaders()
+            response = conn.getresponse()
+            payload = json.loads(response.read())
+            assert response.status == status
+            assert payload["error"]["field"] == "Content-Length"
+            assert response.getheader("Connection") == "close"
+            conn.request("GET", "/healthz")
+            response = conn.getresponse()
+            assert (response.status, json.loads(response.read())) == (200, {"status": "ok"})
+        finally:
+            conn.close()
 
     def test_empty_body_400(self, service):
         status, payload = call(service.base_url + "/jobs", "POST", raw=b"")

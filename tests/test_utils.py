@@ -1,11 +1,12 @@
-"""Tests for the shared utilities (RNG registry, timers, logging)."""
+"""Tests for the shared utilities (RNG registry, timers)."""
 
+import importlib
 import time
 
 import numpy as np
 import pytest
 
-from repro.utils.log import get_logger
+import repro.utils
 from repro.utils.rng import RngRegistry, derive_seed, spawn_rng
 from repro.utils.timing import PhaseTimer, Timer
 
@@ -90,8 +91,9 @@ class TestTimers:
         assert a.elapsed("merge") == 0.5
 
 
-class TestLogging:
-    def test_get_logger_returns_named_logger(self):
-        logger = get_logger("repro.test", level="INFO")
-        assert logger.name == "repro.test"
-        logger.info("message does not raise")
+def test_get_logger_is_removed():
+    with pytest.raises(AttributeError):
+        repro.utils.get_logger
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.utils.log")
+
