@@ -29,7 +29,7 @@ import warnings
 from pathlib import PurePosixPath
 from typing import Dict, Optional
 
-from repro.core.config import SBPConfig, available_presets, config_preset
+from repro.core.config import PRESETS, SBPConfig
 from repro.harness.settings import ExperimentSettings
 from repro.registry import (
     RunRecord,
@@ -74,13 +74,10 @@ def _find_settings(args, kwargs) -> Optional[ExperimentSettings]:
 
 
 def _preset_name(config: SBPConfig) -> Optional[str]:
-    """The registered preset this config equals, if any (frozen-dataclass eq)."""
-    for name in available_presets():
-        try:
-            if config_preset(name) == config:
-                return name
-        except ValueError:  # pragma: no cover - registry mutated mid-lookup
-            continue
+    """The preset this config equals, if any (frozen-dataclass eq)."""
+    for name, make_config in PRESETS.items():
+        if make_config() == config:
+            return name
     return None
 
 

@@ -12,7 +12,7 @@ Partitioning"* (Wanye, Gleyzer, Kao, Feng — IEEE CLUSTER 2023), including:
   MPI communicator, evaluation metrics (NMI, DL_norm, island analysis), and
   a benchmark harness that regenerates every table and figure.
 
-The public API is the :func:`partition` facade over the strategy registry —
+The public API is the :func:`partition` facade over the strategy table —
 the paper's "same algorithm, different distribution strategy" comparison
 expressed as one entry point::
 
@@ -24,18 +24,16 @@ expressed as one entry point::
 """
 
 from repro.api import (
+    PRESETS,
+    STRATEGIES,
     Partitioner,
     RunContext,
     RunHandle,
     RunObserver,
     Strategy,
-    available_presets,
-    available_strategies,
     config_preset,
     get_strategy,
     partition,
-    register_config_preset,
-    register_strategy,
 )
 from repro.core import SBPConfig, SBPResult
 from repro.graphs import Graph
@@ -49,7 +47,7 @@ from repro.graphs.generators import (
 )
 from repro.evaluation import normalized_mutual_information, normalized_description_length
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 
 __all__ = [
@@ -60,12 +58,10 @@ __all__ = [
     "RunContext",
     "RunObserver",
     "Strategy",
-    "register_strategy",
+    "STRATEGIES",
     "get_strategy",
-    "available_strategies",
-    "register_config_preset",
+    "PRESETS",
     "config_preset",
-    "available_presets",
     "SBPConfig",
     "SBPResult",
     # Graphs and evaluation

@@ -4,42 +4,25 @@ The stable surface downstream callers (the harness, benchmarks, examples,
 and future serving layers) program against:
 
 * :func:`partition` / :class:`Partitioner` — one entry point dispatching
-  through the strategy registry;
-* :func:`register_strategy` / :func:`get_strategy` /
-  :func:`available_strategies` — the registry itself (new strategies are a
-  registry entry, not a new driver function);
+  on a strategy name;
+* :data:`STRATEGIES` / :func:`get_strategy` — the strategy names and their
+  lookup;
 * :class:`RunHandle`, :class:`RunObserver`, :class:`RunContext` and the
   event types — the run-lifecycle layer (observer callbacks, wall-clock
   timeouts, cooperative cancellation);
-* config presets (:func:`config_preset`, :func:`register_config_preset`,
-  :func:`available_presets`) and the serializable
-  :class:`SBPConfig` / :class:`SBPResult` pair;
+* config presets (:data:`PRESETS`, :func:`config_preset`) and the
+  serializable :class:`SBPConfig` / :class:`SBPResult` pair;
 * run metadata (:mod:`repro.registry`): the schema-validated
   :class:`RunRecord` every benchmark appends to the experiment registry,
   :func:`collect_provenance` (git rev + dirty flag + hostname) and the
   registry read-back / aggregation surface (:func:`read_runs`,
   :func:`latest_run`, :func:`summarize`).
-
-Importing this package registers the built-in strategies
-(``"sequential"``, ``"dcsbp"``, ``"edist"``, ``"reference_dcsbp"``).
 """
 
-from repro.api.registry import (
-    Strategy,
-    available_strategies,
-    get_strategy,
-    register_strategy,
-    unregister_strategy,
-)
-from repro.api import strategies as _builtin_strategies  # noqa: F401 - registers built-ins
+from repro.api.strategies import STRATEGIES, Strategy, get_strategy
 from repro.api.handle import RunHandle
 from repro.api.facade import ConfigLike, Partitioner, partition, resolve_config
-from repro.core.config import (
-    SBPConfig,
-    available_presets,
-    config_preset,
-    register_config_preset,
-)
+from repro.core.config import PRESETS, SBPConfig, config_preset
 from repro.core.context import (
     CycleEvent,
     MCMCSweepEvent,
@@ -64,17 +47,14 @@ __all__ = [
     "Partitioner",
     "RunHandle",
     "Strategy",
-    "register_strategy",
-    "unregister_strategy",
+    "STRATEGIES",
     "get_strategy",
-    "available_strategies",
     "resolve_config",
     "ConfigLike",
     "SBPConfig",
     "SBPResult",
-    "register_config_preset",
+    "PRESETS",
     "config_preset",
-    "available_presets",
     "RunContext",
     "RunObserver",
     "RunCancelled",
@@ -102,7 +82,7 @@ __all__ = [
 ]
 
 # The serving layer builds ON this package (it imports the facade, handle,
-# and registry submodules directly), so its client-facing types are pulled
+# and strategies submodules directly), so its client-facing types are pulled
 # in at the very end — after everything it depends on exists — to keep the
 # import acyclic.
 from repro.service import (  # noqa: E402

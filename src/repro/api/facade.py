@@ -6,11 +6,10 @@ One function covers what used to take three divergent drivers::
 
     result = partition(graph, strategy="edist", config="fast", num_ranks=4)
 
-``strategy`` is a registry name (see
-:func:`repro.api.registry.available_strategies`), ``config`` accepts an
-:class:`~repro.core.config.SBPConfig`, a preset name (``"paper"``,
-``"fast"``, or anything registered via
-:func:`~repro.core.config.register_config_preset`), a plain dict (as
+``strategy`` is a :data:`~repro.api.strategies.STRATEGIES` name,
+``config`` accepts an :class:`~repro.core.config.SBPConfig`, a
+:data:`~repro.core.config.PRESETS` name (``"paper"``, ``"fast"``,
+``"large_graph"``), a plain dict (as
 produced by ``SBPConfig.to_dict``), or ``None`` for the paper defaults;
 keyword overrides are applied on top.  Fixed seeds produce results
 bit-identical to the legacy entry points — the facade only dispatches.
@@ -26,7 +25,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Optional, Union
 
 from repro.api.handle import RunHandle
-from repro.api.registry import Strategy, get_strategy
+from repro.api.strategies import Strategy, get_strategy
 from repro.core.config import SBPConfig, config_preset
 from repro.core.context import RunContext, RunObserver
 from repro.core.results import SBPResult
@@ -42,9 +41,9 @@ def resolve_config(config: ConfigLike = None, **overrides) -> SBPConfig:
     """Normalise any :data:`ConfigLike` into a validated :class:`SBPConfig`.
 
     ``None`` → the ``"paper"`` preset (library defaults); a string → the
-    preset registry; a dict → :meth:`SBPConfig.from_dict`.  Field overrides
+    preset table; a dict → :meth:`SBPConfig.from_dict`.  Field overrides
     are applied last, so ``resolve_config("fast", seed=7)`` works the way
-    callers expect.  All validation (field names, registry names, value
+    callers expect.  All validation (field names, choice names, value
     ranges) happens here, at construction time.
     """
     if config is None:
@@ -82,9 +81,8 @@ def partition(
     graph:
         The graph to partition.
     strategy:
-        Registry name (``"sequential"``, ``"dcsbp"``, ``"edist"``,
-        ``"reference_dcsbp"``, or anything registered via
-        :func:`~repro.api.registry.register_strategy`) or a strategy
+        A :data:`~repro.api.strategies.STRATEGIES` name (``"sequential"``,
+        ``"dcsbp"``, ``"edist"``, ``"reference_dcsbp"``) or a strategy
         instance.
     config:
         :class:`SBPConfig`, preset name, ``to_dict()`` dict, or ``None``

@@ -14,7 +14,7 @@ from __future__ import annotations
 import threading
 from typing import Iterable, Optional
 
-from repro.api.registry import Strategy
+from repro.api.strategies import Strategy
 from repro.core.config import SBPConfig
 from repro.core.context import RunContext, RunObserver
 from repro.core.results import SBPResult

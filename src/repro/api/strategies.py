@@ -1,22 +1,21 @@
-"""The built-in strategies: the paper's three algorithms plus the Table VI
-reference implementation, registered behind the stable names the facade,
-harness, benchmarks, and examples dispatch on.
+"""The partitioning strategies: the paper's three algorithms plus the Table
+VI reference implementation, named in :data:`STRATEGIES`.
 
-Each strategy is a thin adapter from the uniform
-``run(graph, config, *, num_ranks, run_context)`` protocol onto the core
-driver, so the drivers keep their precise internal signatures (initial
-blockmodels, rng registries, algorithm labels) while the public surface
-stays uniform.  Under a fixed seed a strategy's result is bit-identical to
-calling the underlying driver directly — the adapters add no RNG draws and
-no algorithmic behaviour.
+A *strategy* is any object implementing the :class:`Strategy` protocol —
+``run(graph, config, *, num_ranks, run_context) -> SBPResult``.  Each
+built-in one is a thin adapter from that protocol onto a core driver, so the
+drivers keep their precise internal signatures (initial blockmodels, rng
+registries, algorithm labels) while the public surface stays uniform.  Under
+a fixed seed a strategy's result is bit-identical to calling the underlying
+driver directly — the adapters add no RNG draws and no algorithmic
+behaviour.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional, Protocol, Union, runtime_checkable
 
-from repro.api.registry import register_strategy
-from repro.core.config import SBPConfig
+from repro.core.config import SBPConfig, lookup
 from repro.core.context import RunContext
 from repro.core.dcsbp import divide_and_conquer_sbp
 from repro.core.edist import edist
@@ -26,6 +25,9 @@ from repro.core.sbp import stochastic_block_partition
 from repro.graphs.graph import Graph
 
 __all__ = [
+    "Strategy",
+    "STRATEGIES",
+    "get_strategy",
     "SequentialStrategy",
     "DCSBPStrategy",
     "EDiStStrategy",
@@ -33,7 +35,29 @@ __all__ = [
 ]
 
 
-@register_strategy("sequential", aliases=("sbp",))
+@runtime_checkable
+class Strategy(Protocol):
+    """What the facade requires of a partitioning strategy.
+
+    ``name`` is its :data:`STRATEGIES` key; ``run`` executes one partition.
+    Strategies must treat ``config`` as the complete parameterisation (no
+    hidden state) so that runs are reproducible from ``(graph, config)``
+    alone, and must honour the :class:`~repro.core.context.RunContext`
+    contract: emit phase-boundary events and stop cooperatively.
+    """
+
+    name: str
+
+    def run(
+        self,
+        graph: Graph,
+        config: SBPConfig,
+        *,
+        num_ranks: int = 1,
+        run_context: Optional[RunContext] = None,
+    ) -> SBPResult: ...
+
+
 class SequentialStrategy:
     """Sequential / shared-memory SBP (the paper's single-node baseline)."""
 
@@ -55,7 +79,6 @@ class SequentialStrategy:
         return stochastic_block_partition(graph, config, run_context=run_context)
 
 
-@register_strategy("dcsbp")
 class DCSBPStrategy:
     """Divide-and-conquer SBP (Uppal et al., paper Alg. 3) over simulated ranks."""
 
@@ -72,7 +95,6 @@ class DCSBPStrategy:
         return divide_and_conquer_sbp(graph, num_ranks, config, run_context=run_context)
 
 
-@register_strategy("edist")
 class EDiStStrategy:
     """EDiSt — exact distributed SBP (the paper's contribution, Algs. 4-5)."""
 
@@ -89,7 +111,6 @@ class EDiStStrategy:
         return edist(graph, num_ranks, config, run_context=run_context)
 
 
-@register_strategy("reference_dcsbp", aliases=("reference-dcsbp",))
 class ReferenceDCSBPStrategy:
     """DC-SBP with the unoptimised batch-parallel MCMC (paper Table VI)."""
 
@@ -104,3 +125,24 @@ class ReferenceDCSBPStrategy:
         run_context: Optional[RunContext] = None,
     ) -> SBPResult:
         return reference_dcsbp(graph, num_ranks, config, run_context=run_context)
+
+
+#: Strategy name → its stateless instance.
+STRATEGIES: Dict[str, Strategy] = {
+    strategy.name: strategy
+    for strategy in (
+        SequentialStrategy(),
+        DCSBPStrategy(),
+        EDiStStrategy(),
+        ReferenceDCSBPStrategy(),
+    )
+}
+
+
+def get_strategy(name: Union[str, Strategy]) -> Strategy:
+    """The :data:`STRATEGIES` entry of a name; a :class:`Strategy` passes through."""
+    if isinstance(name, Strategy):
+        return name
+    if not isinstance(name, str):
+        raise TypeError(f"strategy must be a name or Strategy instance, got {type(name).__name__}")
+    return lookup("strategy", STRATEGIES, name)

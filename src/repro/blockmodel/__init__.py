@@ -3,8 +3,8 @@
 This package implements the data structures the paper's C++ implementation
 optimises (Section III-A):
 
-* a **block matrix protocol** (:mod:`repro.blockmodel.backend`) with a
-  registry of interchangeable storage backends: ``"dict"`` (hash maps +
+* a **block matrix protocol** (:mod:`repro.blockmodel.backend`) with
+  interchangeable storage backends: ``"dict"`` (hash maps +
   transpose, the reference), ``"csr"`` (dense numpy, vectorized kernels)
   and ``"sparse_csr"`` (scipy-free CSR/CSC + COO buffer — the vectorized
   kernels without the dense memory bound),
@@ -20,16 +20,11 @@ The pointer-based merge tracking (optimisation (d)) lives in
 :mod:`repro.core.merges` because it belongs to the block-merge phase.
 """
 
-from repro.blockmodel.backend import (
-    BlockMatrixBackend,
-    available_backends,
-    get_backend,
-    register_backend,
-)
+from repro.blockmodel.backend import BlockMatrixBackend
 from repro.blockmodel.sparse_matrix import SparseBlockMatrix
 from repro.blockmodel.csr_matrix import CSRBlockMatrix, MAX_DENSE_BLOCKS
 from repro.blockmodel.sparse_csr_matrix import SparseCSRBlockMatrix
-from repro.blockmodel.blockmodel import Blockmodel, VertexBlockCounts, MATRIX_BACKENDS
+from repro.blockmodel.blockmodel import Blockmodel, VertexBlockCounts
 from repro.blockmodel.entropy import (
     blockmodel_entropy_term,
     description_length,
@@ -48,14 +43,10 @@ from repro.blockmodel.deltas import (
 
 __all__ = [
     "BlockMatrixBackend",
-    "register_backend",
-    "get_backend",
-    "available_backends",
     "SparseBlockMatrix",
     "CSRBlockMatrix",
     "SparseCSRBlockMatrix",
     "MAX_DENSE_BLOCKS",
-    "MATRIX_BACKENDS",
     "Blockmodel",
     "VertexBlockCounts",
     "log_likelihood",

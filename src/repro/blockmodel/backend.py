@@ -1,17 +1,13 @@
-"""The formal block-matrix storage protocol and its backend registry.
+"""The formal block-matrix storage protocol.
 
 Every blockmodel storage backend — the hash-map reference
 (:class:`~repro.blockmodel.sparse_matrix.SparseBlockMatrix`), the dense
 vectorized array (:class:`~repro.blockmodel.csr_matrix.CSRBlockMatrix`) and
 the true-sparse CSR/COO representation
 (:class:`~repro.blockmodel.sparse_csr_matrix.SparseCSRBlockMatrix`) — is an
-implementation of :class:`BlockMatrixBackend`, registered under a stable
-name with :func:`register_backend`.  The registry mirrors the strategy
-registry of :mod:`repro.api`: ``SBPConfig.matrix_backend`` and
-``Blockmodel.from_graph(..., matrix_backend=...)`` are validated against it
-(never against a hard-coded literal set), unknown names raise a
-:class:`ValueError` listing the registered backends, and new storage
-engines plug in by registering a class instead of editing dispatch sites.
+implementation of :class:`BlockMatrixBackend`, listed under its
+:attr:`~BlockMatrixBackend.backend` name in
+:data:`repro.core.config.BACKENDS`.
 
 The protocol has four layers:
 
@@ -42,17 +38,11 @@ on :attr:`BlockMatrixBackend.supports_batched_kernels`.
 from __future__ import annotations
 
 import abc
-from typing import Callable, Dict, Iterator, List, Tuple, Type
+from typing import Dict, Iterator, Tuple
 
 import numpy as np
 
-__all__ = [
-    "BlockMatrixBackend",
-    "register_backend",
-    "get_backend",
-    "available_backends",
-    "backend_registry_hint",
-]
+__all__ = ["BlockMatrixBackend"]
 
 
 class BlockMatrixBackend(abc.ABC):
@@ -62,7 +52,7 @@ class BlockMatrixBackend(abc.ABC):
     counts.  Implementations are interchangeable inside
     :class:`~repro.blockmodel.blockmodel.Blockmodel`; the cross-backend
     differential suite (``tests/differential/``) holds them to a stronger
-    contract than the type signatures: under a fixed seed, every registered
+    contract than the type signatures: under a fixed seed, every
     backend must drive the SBP pipeline through **bit-identical** states
     (same merge selections, same assignments, same description-length
     floats).  The ordering guarantees that make this possible are part of
@@ -72,7 +62,7 @@ class BlockMatrixBackend(abc.ABC):
 
     __slots__ = ()
 
-    #: Registry name (``"dict"`` / ``"csr"`` / ``"sparse_csr"`` / ...).
+    #: Name in :data:`repro.core.config.BACKENDS` (``"dict"`` / ``"csr"`` / ``"sparse_csr"``).
     backend: str = "abstract"
 
     #: Whether the vectorized whole-batch kernels (``delta_dl_for_moves``,
@@ -245,54 +235,3 @@ class BlockMatrixBackend(abc.ABC):
     @abc.abstractmethod
     def check_consistent(self) -> None:
         """Verify internal invariants, raising ``AssertionError`` on damage."""
-
-
-# ----------------------------------------------------------------------
-# Registry
-# ----------------------------------------------------------------------
-_BACKENDS: Dict[str, Type[BlockMatrixBackend]] = {}
-
-
-def register_backend(name: str) -> Callable[[type], type]:
-    """Class decorator registering a storage backend under ``name``.
-
-    Re-registering a name replaces the previous entry (tests and downstream
-    code can shadow a built-in).  The class's ``backend`` attribute is set
-    to ``name`` so instances always report their registry identity.
-    """
-
-    def _register(cls: type) -> type:
-        if not (isinstance(cls, type) and issubclass(cls, BlockMatrixBackend)):
-            raise TypeError(
-                f"backend {name!r} must be a BlockMatrixBackend subclass, "
-                f"got {cls!r}"
-            )
-        cls.backend = name
-        _BACKENDS[str(name)] = cls
-        return cls
-
-    return _register
-
-
-def available_backends() -> List[str]:
-    """Names of every registered backend, in registration order."""
-    return list(_BACKENDS)
-
-
-def backend_registry_hint() -> str:
-    """Human-readable list of registered backends for error messages."""
-    return ", ".join(repr(name) for name in available_backends())
-
-
-def get_backend(name: str) -> Type[BlockMatrixBackend]:
-    """Resolve a backend name to its storage class.
-
-    Unknown names raise a :class:`ValueError` listing the registry, the
-    same convention as strategy and preset lookups in :mod:`repro.api`.
-    """
-    if name not in _BACKENDS:
-        raise ValueError(
-            f"unknown matrix_backend {name!r}; registered backends: "
-            f"({backend_registry_hint()})"
-        )
-    return _BACKENDS[name]

@@ -21,24 +21,15 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.blockmodel.backend import BlockMatrixBackend, available_backends, get_backend
-
-# Importing the implementation modules populates the backend registry.
-from repro.blockmodel.csr_matrix import CSRBlockMatrix  # noqa: F401
-from repro.blockmodel.sparse_matrix import SparseBlockMatrix  # noqa: F401
-from repro.blockmodel.sparse_csr_matrix import SparseCSRBlockMatrix  # noqa: F401
+from repro.blockmodel.backend import BlockMatrixBackend
 from repro.blockmodel import entropy as entropy_mod
 from repro.graphs.graph import Graph
 
-__all__ = ["VertexBlockCounts", "Blockmodel", "MATRIX_BACKENDS"]
+# ``repro.core.config`` imports this package to build its BACKENDS table, so
+# bind the module and read its names at call time.
+from repro.core import config
 
-#: Import-time snapshot of the registered storage backends (``"dict"`` is
-#: the hash-map reference, ``"csr"`` the dense vectorized array,
-#: ``"sparse_csr"`` the scipy-free true-sparse representation).  Kept for
-#: test parametrization and documentation; *validation* always consults the
-#: live registry (:func:`repro.blockmodel.backend.available_backends`) so
-#: backends registered after import are accepted everywhere.
-MATRIX_BACKENDS = tuple(available_backends())
+__all__ = ["VertexBlockCounts", "Blockmodel"]
 
 
 @dataclass
@@ -110,8 +101,9 @@ class Blockmodel:
         Passing ``num_blocks`` smaller than ``graph.num_vertices`` assigns
         vertices round-robin to that many blocks instead (useful for tests
         and for building models at a prescribed granularity).
-        ``matrix_backend`` selects the block matrix storage (see
-        :data:`MATRIX_BACKENDS`); rebuilds triggered by merges preserve it.
+        ``matrix_backend`` selects the block matrix storage (a name in
+        :data:`repro.core.config.BACKENDS`); rebuilds triggered by merges
+        preserve it.
         """
         if num_blocks is None or num_blocks >= graph.num_vertices:
             assignment = np.arange(graph.num_vertices, dtype=np.int64)
@@ -138,13 +130,13 @@ class Blockmodel:
             preserving order of first appearance by label value (i.e. the
             sorted unique labels are mapped to consecutive integers).
         matrix_backend:
-            Block matrix storage, resolved against the backend registry
-            (:func:`repro.blockmodel.backend.get_backend`): ``"dict"``
+            Block matrix storage, a name in
+            :data:`repro.core.config.BACKENDS`: ``"dict"``
             (hash maps, the reference), ``"csr"`` (dense numpy arrays with
             cached marginals) or ``"sparse_csr"`` (scipy-free CSR/COO, no
             dense memory bound).
         """
-        backend_cls = get_backend(matrix_backend)  # ValueError lists the registry
+        backend_cls = config.get_backend(matrix_backend)
         assignment = np.asarray(assignment, dtype=np.int64).copy()
         if assignment.shape != (graph.num_vertices,):
             raise ValueError("assignment must label every vertex")
@@ -214,7 +206,7 @@ class Blockmodel:
 
     @property
     def matrix_backend(self) -> str:
-        """Registry name of the block matrix storage backend."""
+        """:data:`~repro.core.config.BACKENDS` name of the block matrix storage."""
         return getattr(self.matrix, "backend", "dict")
 
     def block_of(self, v: int) -> int:

@@ -33,11 +33,7 @@ from typing import Dict, Iterator, Tuple
 
 import numpy as np
 
-from repro.blockmodel.backend import (
-    BlockMatrixBackend,
-    backend_registry_hint,
-    register_backend,
-)
+from repro.blockmodel.backend import BlockMatrixBackend
 
 __all__ = ["CSRBlockMatrix", "MAX_DENSE_BLOCKS"]
 
@@ -48,7 +44,6 @@ __all__ = ["CSRBlockMatrix", "MAX_DENSE_BLOCKS"]
 MAX_DENSE_BLOCKS = 32768
 
 
-@register_backend("csr")
 class CSRBlockMatrix(BlockMatrixBackend):
     """A square integer block matrix backed by a dense numpy array.
 
@@ -59,6 +54,7 @@ class CSRBlockMatrix(BlockMatrixBackend):
     maintained incrementally so marginals are O(1).
     """
 
+    backend = "csr"
     supports_batched_kernels = True
 
     __slots__ = ("num_blocks", "data", "_row_sums", "_col_sums")
@@ -69,9 +65,8 @@ class CSRBlockMatrix(BlockMatrixBackend):
         if num_blocks > MAX_DENSE_BLOCKS:
             raise ValueError(
                 f"the 'csr' backend allocates a dense {num_blocks}x{num_blocks} matrix; "
-                f"the limit is {MAX_DENSE_BLOCKS} blocks — for larger graphs pick another "
-                f"registered matrix_backend ({backend_registry_hint()}); "
-                "'sparse_csr' keeps the vectorized kernels without the dense memory bound"
+                f"the limit is {MAX_DENSE_BLOCKS} blocks — for larger graphs use matrix_backend "
+                "'sparse_csr' (the vectorized kernels without the dense memory bound) or 'dict'"
             )
         self.num_blocks = int(num_blocks)
         self.data = np.zeros((num_blocks, num_blocks), dtype=np.int64)

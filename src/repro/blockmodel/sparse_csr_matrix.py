@@ -46,7 +46,7 @@ from typing import Dict, Iterator, Tuple
 
 import numpy as np
 
-from repro.blockmodel.backend import BlockMatrixBackend, register_backend
+from repro.blockmodel.backend import BlockMatrixBackend
 
 __all__ = ["SparseCSRBlockMatrix"]
 
@@ -56,10 +56,10 @@ _COMPACT_MIN = 64
 _COMPACT_SHIFT = 2
 
 
-@register_backend("sparse_csr")
 class SparseCSRBlockMatrix(BlockMatrixBackend):
     """A square sparse integer matrix in CSR + CSC form with a COO buffer."""
 
+    backend = "sparse_csr"
     supports_batched_kernels = True
 
     __slots__ = (

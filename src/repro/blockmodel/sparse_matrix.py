@@ -17,19 +17,19 @@ from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
-from repro.blockmodel.backend import BlockMatrixBackend, register_backend
+from repro.blockmodel.backend import BlockMatrixBackend
 
 __all__ = ["SparseBlockMatrix"]
 
 
-@register_backend("dict")
 class SparseBlockMatrix(BlockMatrixBackend):
     """A square sparse integer matrix with row and column hash-map views.
 
     The reference implementation of :class:`BlockMatrixBackend`: scalar
-    access only (``supports_batched_kernels`` is False), registered as
-    ``"dict"``.
+    access only (``supports_batched_kernels`` is False), named ``"dict"``.
     """
+
+    backend = "dict"
 
     __slots__ = ("num_blocks", "rows", "cols")
 

@@ -13,13 +13,7 @@ Public entry points
 All three return an :class:`~repro.core.results.SBPResult`.
 """
 
-from repro.core.config import (
-    MCMCVariant,
-    SBPConfig,
-    available_presets,
-    config_preset,
-    register_config_preset,
-)
+from repro.core.config import PRESETS, MCMCVariant, SBPConfig, config_preset
 from repro.core.context import (
     CycleEvent,
     MCMCSweepEvent,
@@ -41,9 +35,8 @@ from repro.core.hybrid_mcmc import hybrid_sweep, batch_gibbs_sweep
 __all__ = [
     "SBPConfig",
     "MCMCVariant",
-    "register_config_preset",
+    "PRESETS",
     "config_preset",
-    "available_presets",
     "RunContext",
     "RunObserver",
     "RunCancelled",

@@ -4,31 +4,51 @@ One dataclass drives the sequential baseline, the Hybrid shared-memory
 variant, DC-SBP, and EDiSt, so that experiments hold the algorithmic
 parameters fixed while varying only the distribution strategy — which is how
 the paper's comparisons are set up.
+
+The module also holds the name tables of a config's fixed choices —
+:data:`BACKENDS`, :data:`TRANSPORTS` and :data:`PRESETS` — read through
+:func:`lookup`, which rejects an unknown name with a :class:`ValueError`
+listing the valid ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from typing import Callable, Dict, Optional
+from functools import partial
+from typing import Callable, Dict, Mapping, Optional, Type, TypeVar, Union
 
-from repro.blockmodel.backend import available_backends, backend_registry_hint
-from repro.mpi.transport import available_transports, transport_registry_hint
-
-# Importing the blockmodel package side-effect registers the built-in
-# storage backends, so validation below sees the full registry; likewise
-# the mpi package registers the built-in transports (self/threads/processes).
-import repro.blockmodel.blockmodel  # noqa: F401
-import repro.mpi  # noqa: F401
+from repro.blockmodel.backend import BlockMatrixBackend
+from repro.blockmodel.csr_matrix import CSRBlockMatrix
+from repro.blockmodel.sparse_csr_matrix import SparseCSRBlockMatrix
+from repro.blockmodel.sparse_matrix import SparseBlockMatrix
+from repro.mpi.processes import ProcessTransport
+from repro.mpi.threaded import ThreadTransport
+from repro.mpi.transport import SelfTransport, Transport
 
 __all__ = [
     "SBPConfig",
     "MCMCVariant",
     "MatrixBackend",
     "TransportName",
-    "register_config_preset",
+    "DEFAULT_TRANSPORT",
+    "BACKENDS",
+    "TRANSPORTS",
+    "PRESETS",
+    "lookup",
+    "get_backend",
+    "get_transport",
     "config_preset",
-    "available_presets",
 ]
+
+T = TypeVar("T")
+
+
+def lookup(kind: str, table: Mapping[str, T], name: object) -> T:
+    """``table[name]``, or a :class:`ValueError` naming ``kind``, ``name`` and the valid names."""
+    try:
+        return table[name]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown {kind} {name!r}; expected one of {list(table)}") from None
 
 
 class MCMCVariant:
@@ -42,13 +62,7 @@ class MCMCVariant:
 
 
 class MatrixBackend:
-    """Names of the built-in blockmodel storage backends.
-
-    The authoritative list is the backend registry
-    (:func:`repro.blockmodel.backend.available_backends`); validation always
-    consults it live, so backends registered by downstream code are accepted
-    without touching this class.
-    """
+    """Names of the blockmodel storage backends (the keys of :data:`BACKENDS`)."""
 
     #: Hash-map rows + transpose — the reference implementation, O(nnz)
     #: memory, works at any graph size.
@@ -60,18 +74,9 @@ class MatrixBackend:
     #: dense memory bound: O(nnz + B) memory at any block count.
     SPARSE_CSR = "sparse_csr"
 
-    #: Import-time snapshot of the registry (the built-in backends).
-    ALL = tuple(available_backends())
-
 
 class TransportName:
-    """Names of the built-in distributed transports.
-
-    The authoritative list is the transport registry
-    (:func:`repro.mpi.transport.available_transports`); validation always
-    consults it live, so transports registered by downstream code are
-    accepted without touching this class.
-    """
+    """Names of the distributed transports (the keys of :data:`TRANSPORTS`)."""
 
     #: Single rank on the calling thread; what every ``num_ranks == 1``
     #: launch uses regardless of the configured transport.
@@ -83,7 +88,34 @@ class TransportName:
     #: mapped once via ``multiprocessing.shared_memory``.
     PROCESSES = "processes"
 
-    ALL = (SELF, THREADS, PROCESSES)
+
+#: The transport of ``SBPConfig()`` and of ``run_distributed(transport=None)``.
+DEFAULT_TRANSPORT = TransportName.THREADS
+
+#: Storage backend name → block matrix class.
+BACKENDS: Dict[str, Type[BlockMatrixBackend]] = {
+    cls.backend: cls for cls in (SparseBlockMatrix, CSRBlockMatrix, SparseCSRBlockMatrix)
+}
+
+#: Transport name → its shared, stateless instance.
+TRANSPORTS: Dict[str, Transport] = {
+    transport.name: transport
+    for transport in (SelfTransport(), ThreadTransport(), ProcessTransport())
+}
+
+
+def get_backend(name: str) -> Type[BlockMatrixBackend]:
+    """The block matrix class of a :data:`BACKENDS` name."""
+    return lookup("matrix_backend", BACKENDS, name)
+
+
+def get_transport(name: Union[str, Transport]) -> Transport:
+    """The :data:`TRANSPORTS` instance of a name; a :class:`Transport` passes through."""
+    if isinstance(name, Transport):
+        return name
+    if not isinstance(name, str):
+        raise TypeError(f"transport must be a name or Transport instance, got {type(name).__name__}")
+    return lookup("transport", TRANSPORTS, name)
 
 
 @dataclass(frozen=True)
@@ -118,19 +150,18 @@ class SBPConfig:
         original Graph Challenge python parallelism — used by the reference
         DC-SBP implementation of Table VI).
     matrix_backend:
-        Blockmodel storage, validated against the backend registry
-        (:mod:`repro.blockmodel.backend`): ``"dict"`` (hash-map rows +
-        transpose, the reference implementation), ``"csr"`` (dense numpy
-        arrays with cached marginals, O(B²) memory, capped at
-        ``MAX_DENSE_BLOCKS``) or ``"sparse_csr"`` (scipy-free CSR/COO
-        arrays, O(nnz + B) memory at any block count).  On the array
+        Blockmodel storage, one of the :data:`BACKENDS` names: ``"dict"``
+        (hash-map rows + transpose, the reference implementation),
+        ``"csr"`` (dense numpy arrays with cached marginals, O(B²) memory,
+        capped at ``MAX_DENSE_BLOCKS``) or ``"sparse_csr"`` (scipy-free
+        CSR/COO arrays, O(nnz + B) memory at any block count).  On the array
         backends the asynchronous Gibbs batches and the merge phase are
         scored with vectorized whole-batch kernels instead of
         per-candidate Python calls.
     transport:
-        Where the simulated MPI ranks physically run, validated against the
-        transport registry (:mod:`repro.mpi.transport`): ``"threads"`` (one
-        thread per rank — cheap to launch, GIL-bound compute) or
+        Where the simulated MPI ranks physically run, one of the
+        :data:`TRANSPORTS` names: ``"threads"`` (one thread per rank —
+        cheap to launch, GIL-bound compute) or
         ``"processes"`` (one OS process per rank — real CPU parallelism,
         graph shipped once via shared memory).  Single-rank runs always use
         the calling thread whatever this says.  Under a fixed seed the
@@ -164,7 +195,7 @@ class SBPConfig:
     min_blocks: int = 1
     mcmc_variant: str = MCMCVariant.HYBRID
     matrix_backend: str = MatrixBackend.DICT
-    transport: str = TransportName.THREADS
+    transport: str = DEFAULT_TRANSPORT
     hybrid_high_degree_fraction: float = 0.25
     hybrid_batch_size: int = 64
     dcsbp_combine_threshold: int = 4
@@ -188,16 +219,8 @@ class SBPConfig:
             raise ValueError(
                 f"unknown mcmc_variant {self.mcmc_variant!r}; expected one of {MCMCVariant.ALL}"
             )
-        if self.matrix_backend not in available_backends():
-            raise ValueError(
-                f"unknown matrix_backend {self.matrix_backend!r}; registered backends: "
-                f"({backend_registry_hint()})"
-            )
-        if self.transport not in available_transports():
-            raise ValueError(
-                f"unknown transport {self.transport!r}; registered transports: "
-                f"({transport_registry_hint()})"
-            )
+        lookup("matrix_backend", BACKENDS, self.matrix_backend)
+        lookup("transport", TRANSPORTS, self.transport)
         if not 0.0 <= self.hybrid_high_degree_fraction <= 1.0:
             raise ValueError("hybrid_high_degree_fraction must lie in [0, 1]")
         if self.hybrid_batch_size < 1:
@@ -246,7 +269,7 @@ class SBPConfig:
 
     @classmethod
     def from_preset(cls, name: str, seed: Optional[int] = None, **overrides) -> "SBPConfig":
-        """Instantiate a registered preset (see :func:`config_preset`)."""
+        """Instantiate a :data:`PRESETS` entry (see :func:`config_preset`)."""
         config = config_preset(name)
         if seed is not None:
             config = config.with_seed(seed)
@@ -270,54 +293,18 @@ class SBPConfig:
         )
 
 
-# ----------------------------------------------------------------------
-# Preset registry
-# ----------------------------------------------------------------------
-#: Named configuration presets.  Factories (not instances) are stored so that
-#: every lookup returns a fresh config and mutable-default pitfalls cannot
-#: arise; user code extends the registry via :func:`register_config_preset`.
-_CONFIG_PRESETS: Dict[str, Callable[[], SBPConfig]] = {}
-
-
-def register_config_preset(name: str, factory: Callable[[], SBPConfig]) -> None:
-    """Register (or replace) a named :class:`SBPConfig` preset.
-
-    The factory is validated eagerly — it must return an :class:`SBPConfig`
-    — so a bad registration fails at registration time, not at first use.
-    """
-    produced = factory()
-    if not isinstance(produced, SBPConfig):
-        raise TypeError(
-            f"preset factory for {name!r} must return an SBPConfig, got {type(produced).__name__}"
-        )
-    _CONFIG_PRESETS[str(name)] = factory
-
-
-def available_presets() -> list:
-    """Sorted names of every registered configuration preset."""
-    return sorted(_CONFIG_PRESETS)
+#: Preset name → a factory returning a fresh config: ``"paper"`` is the
+#: Graph Challenge reference parameterisation (the library defaults),
+#: ``"fast"`` the quick test/benchmark tuning of :meth:`SBPConfig.fast`, and
+#: ``"large_graph"`` selects the true-sparse storage backend for graphs whose
+#: block count exceeds the dense backend's ``MAX_DENSE_BLOCKS`` ceiling.
+PRESETS: Dict[str, Callable[[], SBPConfig]] = {
+    "paper": SBPConfig,
+    "fast": SBPConfig.fast,
+    "large_graph": partial(SBPConfig, matrix_backend=MatrixBackend.SPARSE_CSR),
+}
 
 
 def config_preset(name: str) -> SBPConfig:
-    """Instantiate the preset registered under ``name``.
-
-    Unknown names raise a :class:`ValueError` listing the registry, the same
-    convention as strategy and backend lookups.
-    """
-    if name not in _CONFIG_PRESETS:
-        raise ValueError(
-            f"unknown config preset {name!r}; available presets: {available_presets()}"
-        )
-    return _CONFIG_PRESETS[name]()
-
-
-#: ``"paper"`` is the Graph Challenge reference parameterisation (the library
-#: defaults); ``"fast"`` is the quick test/benchmark tuning of
-#: :meth:`SBPConfig.fast`; ``"large_graph"`` selects the true-sparse storage
-#: backend for graphs whose block count exceeds the dense backend's
-#: ``MAX_DENSE_BLOCKS`` ceiling.
-register_config_preset("paper", SBPConfig)
-register_config_preset("fast", SBPConfig.fast)
-register_config_preset(
-    "large_graph", lambda: SBPConfig(matrix_backend=MatrixBackend.SPARSE_CSR)
-)
+    """A fresh config built by the :data:`PRESETS` entry ``name``."""
+    return lookup("preset", PRESETS, name)()

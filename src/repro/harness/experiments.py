@@ -98,11 +98,11 @@ def run_algorithm(
     config: SBPConfig,
     run_context: Optional[RunContext] = None,
 ) -> SBPResult:
-    """Dispatch one run through the strategy registry.
+    """Dispatch one run through the strategy table.
 
-    ``algorithm`` is a registry name or alias (``"sbp"``/``"sequential"``,
-    ``"dcsbp"``, ``"reference-dcsbp"``/``"reference_dcsbp"``, ``"edist"``);
-    the registry error lists the valid keys on a bad name.  A distributed
+    ``algorithm`` is a :data:`~repro.api.strategies.STRATEGIES` name
+    (``"sequential"``, ``"dcsbp"``, ``"reference_dcsbp"``, ``"edist"``); the
+    error on a bad name lists the valid ones.  A distributed
     strategy asked for one rank runs the sequential strategy, matching how
     the paper reports single-node baselines.
 
@@ -240,7 +240,7 @@ def run_table6(settings: Optional[ExperimentSettings] = None, num_ranks: int = 8
     rows = []
     for graph_id in settings.challenge_graph_ids:
         graph = _cached_graph("challenge", graph_id, settings.challenge_scale, settings.seed)
-        reference = run_algorithm("reference-dcsbp", graph, num_ranks, settings.config)
+        reference = run_algorithm("reference_dcsbp", graph, num_ranks, settings.config)
         optimized = run_algorithm("dcsbp", graph, num_ranks, settings.config)
         rows.append(
             {
@@ -433,7 +433,7 @@ def run_fig5(settings: Optional[ExperimentSettings] = None, nmi_tolerance: float
     rows = []
     for graph_id in settings.scaling_graph_ids:
         graph = _cached_graph("scaling", graph_id, settings.scaling_scale, settings.seed)
-        baseline = run_algorithm("sbp", graph, 1, settings.config)
+        baseline = run_algorithm("sequential", graph, 1, settings.config)
         baseline_nmi = _nmi_or_nan(baseline)
         baseline_time = modeled_runtime(baseline, params)
 

@@ -7,9 +7,8 @@ algorithms rely on — ranks, point-to-point messages, and the collectives
 (``barrier``, ``bcast``, ``gather``, ``allgather``, ``alltoall``,
 ``allreduce``).
 
-Where the ranks physically run is a *transport*, resolved from a registry
-(:mod:`repro.mpi.transport`) exactly like partitioning strategies and
-matrix backends:
+Where the ranks physically run is a *transport*, named in
+:data:`repro.core.config.TRANSPORTS`:
 
 * ``"self"`` — a single rank on the calling thread
   (:class:`~repro.mpi.communicator.SelfCommunicator`); the sequential
@@ -49,11 +48,6 @@ from repro.mpi.transport import (
     DistributedResult,
     SelfTransport,
     Transport,
-    available_transports,
-    get_transport,
-    register_transport,
-    transport_registry_hint,
-    unregister_transport,
 )
 from repro.mpi.threaded import ThreadCommunicator, ThreadCommWorld, ThreadTransport
 from repro.mpi.processes import ProcessCommunicator, ProcessTransport
@@ -77,9 +71,4 @@ __all__ = [
     "SelfTransport",
     "ThreadTransport",
     "ProcessTransport",
-    "register_transport",
-    "unregister_transport",
-    "get_transport",
-    "available_transports",
-    "transport_registry_hint",
 ]

@@ -1,7 +1,7 @@
 """Launch a rank function across simulated MPI ranks.
 
 :func:`run_distributed` is the in-process equivalent of ``mpiexec -n N``:
-it resolves a :class:`~repro.mpi.transport.Transport` from the registry,
+it resolves a :class:`~repro.mpi.transport.Transport` by name,
 hands each rank a :class:`~repro.mpi.communicator.Communicator`, runs the
 supplied function on every rank, and returns the per-rank results.
 
@@ -13,15 +13,11 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional, Union
 
-# Importing these modules registers the built-in transports.
-from repro.mpi import processes as _processes  # noqa: F401
-from repro.mpi import threaded as _threaded  # noqa: F401
-from repro.mpi.transport import (
-    DistributedError,
-    DistributedResult,
-    Transport,
-    get_transport,
-)
+from repro.mpi.transport import DistributedError, DistributedResult, Transport
+
+# ``repro.core.config`` imports this package to build its TRANSPORTS table,
+# so bind the module and read its names at call time.
+from repro.core import config
 
 __all__ = ["run_distributed", "DistributedResult", "DistributedError"]
 
@@ -46,10 +42,11 @@ def run_distributed(
         The rank program.  Its first positional argument is the rank's
         :class:`~repro.mpi.communicator.Communicator`.
     transport:
-        Registered transport name (``"threads"``, ``"processes"``, …) or a
-        :class:`~repro.mpi.transport.Transport` instance; ``None`` selects
-        ``"threads"``.  Unknown names raise a :class:`ValueError` listing
-        the registry.
+        A :data:`~repro.core.config.TRANSPORTS` name (``"threads"``,
+        ``"processes"``, …) or a :class:`~repro.mpi.transport.Transport`
+        instance; ``None`` selects
+        :data:`~repro.core.config.DEFAULT_TRANSPORT`.  Unknown names raise a
+        :class:`ValueError` listing the valid ones.
     timeout:
         Per-collective/receive timeout in seconds (guards against
         deadlocks caused by mismatched collective sequences); a rank that
@@ -74,7 +71,7 @@ def run_distributed(
         raise ValueError("num_ranks must be positive")
     # Validate the requested transport even when the single-rank shortcut
     # makes it moot, so a typo fails loudly at every rank count.
-    selected = get_transport(transport) if transport is not None else get_transport("threads")
+    selected = config.get_transport(config.DEFAULT_TRANSPORT if transport is None else transport)
     if num_ranks == 1:
-        selected = get_transport("self")
+        selected = config.get_transport("self")
     return selected.launch(num_ranks, fn, args, kwargs, timeout=timeout)

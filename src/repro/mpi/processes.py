@@ -59,7 +59,6 @@ from repro.mpi.transport import (
     DistributedResult,
     Transport,
     primary_failures,
-    register_transport,
 )
 
 __all__ = ["ProcessCommunicator", "ProcessTransport"]
@@ -358,7 +357,6 @@ def _worker_main(rank: int, world: _ProcessWorld, fn, args, kwargs) -> None:
 # ----------------------------------------------------------------------
 # The transport
 # ----------------------------------------------------------------------
-@register_transport("processes")
 class ProcessTransport(Transport):
     """One OS process per rank: real CPU parallelism for the compute phases.
 
@@ -370,6 +368,8 @@ class ProcessTransport(Transport):
     (observers, cancellation, timeout) stays in the parent, bridged to the
     workers.
     """
+
+    name = "processes"
 
     #: How long the launcher blocks on its service queues per poll.
     _POLL_SECONDS = 0.02

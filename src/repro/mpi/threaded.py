@@ -31,7 +31,6 @@ from repro.mpi.transport import (
     DistributedResult,
     Transport,
     primary_failures,
-    register_transport,
 )
 
 __all__ = ["ThreadCommWorld", "ThreadCommunicator", "ThreadTransport"]
@@ -189,7 +188,6 @@ class ThreadCommunicator(SequencedCommunicator):
         return self._world.take(self.rank, source, tag)
 
 
-@register_transport("threads")
 class ThreadTransport(Transport):
     """One daemon thread per rank inside the calling process.
 
@@ -199,6 +197,8 @@ class ThreadTransport(Transport):
     transport, and the right one for tests and communication-semantics
     work.
     """
+
+    name = "threads"
 
     def launch(
         self,

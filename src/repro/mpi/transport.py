@@ -1,4 +1,4 @@
-"""The transport protocol and registry behind :func:`run_distributed`.
+"""The transport protocol behind :func:`run_distributed`.
 
 A *transport* decides where the simulated MPI ranks physically run — on the
 calling thread (``"self"``), on Python threads inside this process
@@ -8,26 +8,17 @@ honouring the same sequenced-collective contract, so the rank programs (and
 their results, under a fixed seed) are transport-independent; only the
 execution substrate changes.
 
-The registry mirrors the strategy registry of :mod:`repro.api` and the
-backend registry of :mod:`repro.blockmodel.backend`: implementations are
-classes decorated with :func:`register_transport`, lookups go through
-:func:`get_transport`, and unknown names raise a :class:`ValueError` listing
-the registered transports.  ``SBPConfig.transport`` is validated against
-the live registry, never a hard-coded literal set, so downstream code can
-plug in new transports (e.g. a real mpi4py bridge) without touching any
-dispatch site.
-
-Importing :mod:`repro.mpi` registers the built-in transports
-(:class:`SelfTransport` here, ``ThreadTransport`` in
-:mod:`repro.mpi.threaded`, ``ProcessTransport`` in
-:mod:`repro.mpi.processes`).
+The transports are :class:`SelfTransport` here, ``ThreadTransport`` in
+:mod:`repro.mpi.threaded` and ``ProcessTransport`` in
+:mod:`repro.mpi.processes`; :data:`repro.core.config.TRANSPORTS` maps their
+names to shared instances.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.mpi.communicator import SelfCommunicator
 from repro.mpi.stats import CommStats
@@ -38,11 +29,6 @@ __all__ = [
     "DistributedResult",
     "Transport",
     "SelfTransport",
-    "register_transport",
-    "unregister_transport",
-    "get_transport",
-    "available_transports",
-    "transport_registry_hint",
     "primary_failures",
 ]
 
@@ -120,15 +106,15 @@ def primary_failures(failures: Dict[int, BaseException]) -> Dict[int, BaseExcept
 class Transport(abc.ABC):
     """Abstract execution substrate for a distributed run.
 
-    Implementations are stateless; one shared instance per registry entry
-    launches any number of runs.  ``launch`` must deliver the same
+    Implementations are stateless; one shared instance per
+    :data:`~repro.core.config.TRANSPORTS` entry launches any number of runs.  ``launch`` must deliver the same
     semantics on every transport: rank-indexed results, per-rank
     :class:`~repro.mpi.stats.CommStats`, and a :class:`DistributedError`
     aggregating every rank's failure (with secondaries from the abort
     cascade filtered out via :func:`primary_failures`).
     """
 
-    #: Registry name, set by :func:`register_transport`.
+    #: Name in :data:`repro.core.config.TRANSPORTS`.
     name: str = "abstract"
 
     @abc.abstractmethod
@@ -154,67 +140,8 @@ class Transport(abc.ABC):
 
 
 # ----------------------------------------------------------------------
-# Registry
-# ----------------------------------------------------------------------
-_TRANSPORTS: Dict[str, Transport] = {}
-
-
-def register_transport(name: str) -> Callable[[type], type]:
-    """Class decorator registering a transport under ``name``.
-
-    The class is instantiated once and the shared instance stored;
-    re-registering a name replaces the previous entry (tests and
-    downstream code can shadow a built-in).  The class's ``name``
-    attribute is set so instances always report their registry identity.
-    """
-
-    def _register(cls: type) -> type:
-        if not (isinstance(cls, type) and issubclass(cls, Transport)):
-            raise TypeError(f"transport {name!r} must be a Transport subclass, got {cls!r}")
-        cls.name = str(name)
-        _TRANSPORTS[str(name)] = cls()
-        return cls
-
-    return _register
-
-
-def unregister_transport(name: str) -> None:
-    """Remove a registered transport (primarily for tests)."""
-    _TRANSPORTS.pop(str(name), None)
-
-
-def available_transports() -> List[str]:
-    """Names of every registered transport, in registration order."""
-    return list(_TRANSPORTS)
-
-
-def transport_registry_hint() -> str:
-    """Human-readable list of registered transports for error messages."""
-    return ", ".join(repr(name) for name in available_transports())
-
-
-def get_transport(name: Union[str, Transport]) -> Transport:
-    """Resolve a transport name to its shared instance.
-
-    :class:`Transport` instances pass through unchanged (mirroring
-    ``get_strategy``).  Unknown names raise a :class:`ValueError` listing
-    the registry.
-    """
-    if isinstance(name, Transport):
-        return name
-    if not isinstance(name, str):
-        raise TypeError(f"transport must be a name or Transport instance, got {type(name).__name__}")
-    if name not in _TRANSPORTS:
-        raise ValueError(
-            f"unknown transport {name!r}; registered transports: ({transport_registry_hint()})"
-        )
-    return _TRANSPORTS[name]
-
-
-# ----------------------------------------------------------------------
 # The trivial single-rank transport
 # ----------------------------------------------------------------------
-@register_transport("self")
 class SelfTransport(Transport):
     """Run the rank program directly on the calling thread (one rank).
 
@@ -224,6 +151,8 @@ class SelfTransport(Transport):
     Exceptions propagate raw — with a single rank there is no aggregate to
     build and the caller's traceback is already intact.
     """
+
+    name = "self"
 
     def launch(
         self,

@@ -114,7 +114,7 @@ def load_checkpoint(path: PathLike, graph: Optional[Graph] = None) -> SBPResult:
 class WarmStartSequential:
     """A sequential strategy warm-started from a checkpoint partition.
 
-    Satisfies the :class:`~repro.api.registry.Strategy` protocol, so it runs
+    Satisfies the :class:`~repro.api.strategies.Strategy` protocol, so it runs
     through the ordinary :class:`~repro.api.handle.RunHandle` lifecycle
     (observers, timeout, cancellation), but seeds the agglomerative search
     with the checkpoint's blockmodel instead of one block per vertex — the

@@ -36,7 +36,7 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.api.facade import ConfigLike, resolve_config
 from repro.api.handle import RunHandle
-from repro.api.registry import Strategy, get_strategy
+from repro.api.strategies import Strategy, get_strategy
 from repro.core.context import RunObserver
 from repro.registry import RunRecord, append_run, collect_provenance, peak_rss_mb
 from repro.service.checkpoint import CheckpointWriter, resume_strategy

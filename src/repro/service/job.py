@@ -77,7 +77,7 @@ class Job:
     config:
         The resolved :class:`SBPConfig` the run will use.
     strategy:
-        Registry name of the partitioning strategy.
+        :data:`~repro.api.strategies.STRATEGIES` name of the partitioning strategy.
     num_ranks:
         Simulated MPI ranks for the distributed strategies.
     priority:

@@ -1,7 +1,7 @@
 """Request validation for the HTTP API: every error names the offending field.
 
 The serving layer follows the construction-time validation idiom the config
-(`SBPConfig`), backend/transport registries, and run registry (`RunRecord`)
+(`SBPConfig`), its name tables, and the run registry (`RunRecord`)
 established: a bad request is rejected immediately with a message that names
 the field at fault, never half-parsed.  :func:`validate_job_request` turns a
 decoded ``POST /jobs`` JSON body into a :class:`JobRequest` — the graph
@@ -29,8 +29,8 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.api.registry import available_strategies
-from repro.core.config import SBPConfig, available_presets, config_preset
+from repro.api.strategies import STRATEGIES
+from repro.core.config import PRESETS, SBPConfig, config_preset, lookup
 from repro.graphs.generators import (
     DCSBMSpec,
     DegreeSequenceSpec,
@@ -195,6 +195,14 @@ def _build_graph(spec: object) -> Graph:
     )
 
 
+def _lookup_field(field: str, table: Dict[str, object], value: object) -> None:
+    """Check ``value`` names a ``table`` entry; the error names the body field."""
+    try:
+        lookup(field, table, value)
+    except ValueError as exc:
+        raise ValidationError(field, str(exc)) from None
+
+
 def validate_job_request(body: object) -> JobRequest:
     """Validate a decoded ``POST /jobs`` body into a :class:`JobRequest`.
 
@@ -214,17 +222,10 @@ def validate_job_request(body: object) -> JobRequest:
     graph = _build_graph(body["graph"])
 
     strategy = body.get("strategy", "sequential")
-    if not isinstance(strategy, str) or strategy not in available_strategies():
-        raise ValidationError(
-            "strategy",
-            f"unknown strategy {strategy!r}; registered strategies: {available_strategies()}",
-        )
-
+    _lookup_field("strategy", STRATEGIES, strategy)
     preset = body.get("preset")
-    if preset is not None and (not isinstance(preset, str) or preset not in available_presets()):
-        raise ValidationError(
-            "preset", f"unknown preset {preset!r}; available presets: {available_presets()}"
-        )
+    if preset is not None:
+        _lookup_field("preset", PRESETS, preset)
     config_entry = body.get("config")
     if config_entry is not None and preset is not None:
         raise ValidationError("config", "pass either 'config' or 'preset', not both")

@@ -40,7 +40,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.blockmodel.blockmodel import Blockmodel
-from repro.core.config import SBPConfig
+from repro.core.config import BACKENDS, SBPConfig
 from repro.core.dcsbp import divide_and_conquer_sbp
 from repro.core.edist import edist
 from repro.core.mcmc import mcmc_phase
@@ -73,10 +73,10 @@ __all__ = [
     "golden_record",
 ]
 
-#: Every registered storage backend the differential suite compares: the
-#: hash-map reference, the vectorized dense array and the scipy-free
-#: true-sparse representation.  Mirrors the backend registry snapshot.
-ALL_BACKENDS: Tuple[str, ...] = ("dict", "csr", "sparse_csr")
+#: Every storage backend the differential suite compares: the hash-map
+#: reference, the vectorized dense array and the scipy-free true-sparse
+#: representation.
+ALL_BACKENDS: Tuple[str, ...] = tuple(BACKENDS)
 
 #: The backend whose behaviour defines correctness.
 REFERENCE_BACKEND: str = "dict"

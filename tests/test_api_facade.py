@@ -1,4 +1,4 @@
-"""The unified public API: registry, facade dispatch, config resolution."""
+"""The unified public API: strategy table, facade dispatch, config resolution."""
 
 from __future__ import annotations
 
@@ -9,37 +9,40 @@ import pytest
 
 import repro
 from repro.api import (
+    PRESETS,
+    STRATEGIES,
     Partitioner,
     Strategy,
-    available_strategies,
     get_strategy,
     partition,
-    register_strategy,
     resolve_config,
-    unregister_strategy,
 )
-from repro.core.config import MCMCVariant, MatrixBackend, SBPConfig
+from repro.core.config import BACKENDS, MCMCVariant, SBPConfig
 from repro.core.sbp import stochastic_block_partition
 
 
-class TestRegistry:
-    def test_builtin_strategies_registered(self):
-        assert available_strategies() == ["dcsbp", "edist", "reference_dcsbp", "sequential"]
-
-    def test_aliases_resolve_to_canonical(self):
-        assert get_strategy("sbp") is get_strategy("sequential")
-        assert get_strategy("reference-dcsbp") is get_strategy("reference_dcsbp")
+class TestStrategyTable:
+    def test_strategy_names(self):
+        assert list(STRATEGIES) == ["sequential", "dcsbp", "edist", "reference_dcsbp"]
 
     def test_strategy_instances_satisfy_protocol(self):
-        for name in available_strategies():
-            assert isinstance(get_strategy(name), Strategy)
+        for name, strategy in STRATEGIES.items():
+            assert isinstance(strategy, Strategy)
+            assert get_strategy(name) is strategy
+            assert strategy.name == name
 
-    def test_unknown_strategy_lists_registry_keys(self):
+    @pytest.mark.parametrize("call", [
+        lambda graph, name: get_strategy(name),
+        lambda graph, name: partition(graph, strategy=name),
+    ], ids=["get_strategy", "partition"])
+    @pytest.mark.parametrize("name", ["does-not-exist", "sbp", "reference-dcsbp"])
+    def test_unknown_strategy_lists_strategy_names(self, planted_graph, call, name):
         with pytest.raises(ValueError) as excinfo:
-            get_strategy("does-not-exist")
+            call(planted_graph, name)
         message = str(excinfo.value)
-        for name in available_strategies():
-            assert name in message
+        assert f"unknown strategy {name!r}" in message
+        for valid in STRATEGIES:
+            assert repr(valid) in message
 
     def test_strategy_instance_passthrough(self):
         strategy = get_strategy("sequential")
@@ -48,28 +51,6 @@ class TestRegistry:
     def test_non_string_non_strategy_rejected(self):
         with pytest.raises(TypeError):
             get_strategy(42)
-
-    def test_register_custom_strategy(self, planted_graph, fast_config):
-        @register_strategy("always-three", aliases=("a3",))
-        class AlwaysThree:
-            name = "always-three"
-
-            def run(self, graph, config, *, num_ranks=1, run_context=None):
-                return stochastic_block_partition(graph, config, run_context=run_context)
-
-        try:
-            assert "always-three" in available_strategies()
-            result = partition(planted_graph, strategy="a3", config=fast_config)
-            assert result.num_communities >= 1
-        finally:
-            unregister_strategy("always-three")
-        assert "always-three" not in available_strategies()
-        with pytest.raises(ValueError):
-            get_strategy("a3")
-
-    def test_register_rejects_runless_objects(self):
-        with pytest.raises(TypeError):
-            register_strategy("broken")(object())
 
 
 class TestConfigResolution:
@@ -89,9 +70,14 @@ class TestConfigResolution:
         assert config.matrix_backend == "csr"
         assert config.max_mcmc_iterations == SBPConfig.fast().max_mcmc_iterations
 
-    def test_unknown_preset_lists_presets(self):
-        with pytest.raises(ValueError, match="fast"):
-            resolve_config("warp-speed")
+    @pytest.mark.parametrize("call", [resolve_config, SBPConfig.from_preset])
+    def test_unknown_preset_lists_presets(self, call):
+        with pytest.raises(ValueError) as excinfo:
+            call("warp-speed")
+        message = str(excinfo.value)
+        assert "unknown preset 'warp-speed'" in message
+        for valid in PRESETS:
+            assert repr(valid) in message
 
     def test_unknown_override_field_lists_fields(self):
         with pytest.raises(ValueError, match="matrix_backend"):
@@ -103,7 +89,7 @@ class TestConfigResolution:
 
 
 class TestConfigValidationMessages:
-    """Bad registry names must fail at construction, listing the valid keys."""
+    """Bad choice names must fail at construction, listing the valid names."""
 
     def test_bad_mcmc_variant_lists_variants(self):
         with pytest.raises(ValueError) as excinfo:
@@ -116,11 +102,11 @@ class TestConfigValidationMessages:
         with pytest.raises(ValueError) as excinfo:
             SBPConfig(matrix_backend="quantum")
         message = str(excinfo.value)
-        for backend in MatrixBackend.ALL:
-            assert backend in message
+        for backend in BACKENDS:
+            assert repr(backend) in message
 
     def test_bad_strategy_fails_before_any_work(self, planted_graph):
-        with pytest.raises(ValueError, match="available strategies"):
+        with pytest.raises(ValueError, match="unknown strategy 'edist2'"):
             partition(planted_graph, strategy="edist2")
 
 
@@ -203,9 +189,9 @@ class TestHarnessDispatch:
     def test_run_algorithm_goes_through_registry(self, planted_graph, fast_config):
         from repro.harness.experiments import run_algorithm
 
-        result = run_algorithm("sbp", planted_graph, 1, fast_config)
+        result = run_algorithm("sequential", planted_graph, 1, fast_config)
         assert result.algorithm == "sbp"
-        with pytest.raises(ValueError, match="available strategies"):
+        with pytest.raises(ValueError, match="unknown strategy"):
             run_algorithm("not-an-algorithm", planted_graph, 1, fast_config)
 
     def test_run_algorithm_rank1_distributed_uses_sequential(self, planted_graph, fast_config):

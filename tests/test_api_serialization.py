@@ -8,12 +8,7 @@ import numpy as np
 import pytest
 
 from repro.api import partition
-from repro.core.config import (
-    SBPConfig,
-    available_presets,
-    config_preset,
-    register_config_preset,
-)
+from repro.core.config import SBPConfig, config_preset
 from repro.core.results import IterationRecord, SBPResult
 from repro.graphs.io import graph_from_dict, graph_to_dict
 from repro.mpi.stats import CommStats
@@ -51,21 +46,6 @@ class TestConfigRoundTrip:
         data["mcmc_variant"] = "nope"
         with pytest.raises(ValueError, match="metropolis_hastings"):
             SBPConfig.from_dict(data)
-
-    def test_custom_preset_registration(self):
-        register_config_preset("test-heavy", lambda: SBPConfig(max_mcmc_iterations=50))
-        try:
-            assert "test-heavy" in available_presets()
-            assert config_preset("test-heavy").max_mcmc_iterations == 50
-            assert SBPConfig.from_preset("test-heavy", seed=1).seed == 1
-        finally:
-            from repro.core import config as config_module
-
-            config_module._CONFIG_PRESETS.pop("test-heavy")
-
-    def test_bad_preset_factory_rejected_at_registration(self):
-        with pytest.raises(TypeError):
-            register_config_preset("broken", lambda: "not a config")
 
     def test_from_preset_applies_overrides(self):
         config = SBPConfig.from_preset("fast", seed=9, matrix_backend="csr")

@@ -17,7 +17,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from repro.blockmodel.backend import get_backend  # noqa: E402
+from repro.core.config import get_backend  # noqa: E402
 from repro.blockmodel.blockmodel import Blockmodel  # noqa: E402
 from repro.blockmodel.sparse_matrix import SparseBlockMatrix  # noqa: E402
 from repro.graphs.graph import Graph  # noqa: E402

@@ -14,7 +14,7 @@ from repro.blockmodel.blockmodel import Blockmodel
 from repro.blockmodel.csr_matrix import CSRBlockMatrix, MAX_DENSE_BLOCKS
 from repro.blockmodel.deltas import delta_dl_for_move, delta_dl_for_moves
 from repro.blockmodel.sparse_matrix import SparseBlockMatrix
-from repro.core.config import SBPConfig
+from repro.core.config import BACKENDS, SBPConfig
 from repro.core.hybrid_mcmc import batch_gibbs_sweep
 from repro.core.proposals import (
     acceptance_probabilities,
@@ -140,10 +140,16 @@ class TestBlockmodelBackendWiring:
         bm_csr.check_consistency()
 
     def test_unknown_backend_rejected(self, equiv_graph):
-        with pytest.raises(ValueError):
-            Blockmodel.from_graph(equiv_graph, matrix_backend="cupy")
-        with pytest.raises(ValueError):
-            SBPConfig(matrix_backend="cupy")
+        for call in (
+            lambda: Blockmodel.from_graph(equiv_graph, matrix_backend="cupy"),
+            lambda: SBPConfig(matrix_backend="cupy"),
+        ):
+            with pytest.raises(ValueError) as excinfo:
+                call()
+            message = str(excinfo.value)
+            assert "unknown matrix_backend 'cupy'" in message
+            for name in BACKENDS:
+                assert repr(name) in message
 
     def test_move_vertex_matches_dict_backend(self, equiv_graph):
         bm_dict = Blockmodel.from_graph(equiv_graph, num_blocks=8, matrix_backend="dict")

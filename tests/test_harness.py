@@ -111,7 +111,7 @@ class TestExperiments:
         return ExperimentSettings.smoke()
 
     def test_run_algorithm_dispatch(self, planted_graph, fast_config):
-        assert run_algorithm("sbp", planted_graph, 1, fast_config).algorithm == "sbp"
+        assert run_algorithm("sequential", planted_graph, 1, fast_config).algorithm == "sbp"
         assert run_algorithm("edist", planted_graph, 2, fast_config).algorithm == "edist"
         assert run_algorithm("dcsbp", planted_graph, 2, fast_config).algorithm == "dcsbp"
         with pytest.raises(ValueError):

@@ -9,9 +9,9 @@ degenerate single-block model.
 import numpy as np
 import pytest
 
-from repro.blockmodel.blockmodel import Blockmodel, MATRIX_BACKENDS
+from repro.blockmodel.blockmodel import Blockmodel
 from repro.blockmodel.deltas import delta_dl_for_merge, delta_dl_for_merges
-from repro.core.config import SBPConfig
+from repro.core.config import BACKENDS, SBPConfig
 from repro.core.merges import MergeProposal, block_merge_phase, propose_merges, select_and_apply_merges
 from repro.graphs.graph import Graph
 
@@ -32,7 +32,7 @@ def islands_graph() -> Graph:
     return Graph.from_edges(8, edges)  # vertices 6 and 7 are isolated
 
 
-@pytest.mark.parametrize("backend", MATRIX_BACKENDS)
+@pytest.mark.parametrize("backend", BACKENDS)
 class TestZeroDegreeBlocks:
     def test_propose_merges_covers_zero_degree_blocks(self, islands_graph, config, backend):
         bm = Blockmodel.from_graph(islands_graph, matrix_backend=backend)
@@ -63,7 +63,7 @@ class TestZeroDegreeBlocks:
         assert merged.matrix_backend == backend
 
 
-@pytest.mark.parametrize("backend", MATRIX_BACKENDS)
+@pytest.mark.parametrize("backend", BACKENDS)
 class TestMergeChainResolution:
     def test_chain_into_already_merged_block(self, islands_graph, backend):
         """Optimisation (d): a proposal targeting a block that has itself
@@ -100,7 +100,7 @@ class TestMergeChainResolution:
         assert labels[4] == labels[5]
 
 
-@pytest.mark.parametrize("backend", MATRIX_BACKENDS)
+@pytest.mark.parametrize("backend", BACKENDS)
 class TestSingleBlock:
     def test_propose_merges_returns_nothing(self, islands_graph, config, backend):
         bm = Blockmodel.from_graph(islands_graph, num_blocks=1, matrix_backend=backend)

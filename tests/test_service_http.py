@@ -13,12 +13,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.api import partition
+from repro.api import STRATEGIES, partition
 from repro.core.context import RunContext
 from repro.core.results import SBPResult
 from repro.graphs.io import graph_to_dict
 from repro.service import JobExecutor, PartitionService
 from repro.service.http_api import MAX_BODY_BYTES
+from repro.service.schemas import ValidationError, validate_job_request
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -131,6 +132,20 @@ class TestRoutingAndErrors:
         assert status == 400, payload
         assert payload["error"]["field"] == field
         assert field.split(".")[-1] in payload["error"]["message"]
+
+    @pytest.mark.parametrize("name", [*STRATEGIES, "sbp"])
+    def test_partition_and_http_accept_the_same_strategy_names(self, name):
+        body = dict(EDGES_BODY, strategy=name)
+        if name in STRATEGIES:
+            request = validate_job_request(body)
+            assert partition(request.graph, strategy=name, config=request.config, seed=0)
+        else:
+            with pytest.raises(ValidationError) as excinfo:
+                validate_job_request(body)
+            assert excinfo.value.field == "strategy"
+            graph = validate_job_request(EDGES_BODY).graph
+            with pytest.raises(ValueError, match=f"unknown strategy {name!r}"):
+                partition(graph, strategy=name)
 
     def test_config_and_preset_conflict(self, service):
         body = dict(EDGES_BODY, config={"seed": 1})

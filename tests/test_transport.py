@@ -1,8 +1,8 @@
-"""Tests for the transport layer: registry, processes backend, shared graphs.
+"""Tests for the transport layer: name table, processes backend, shared graphs.
 
-The registry tests mirror the matrix-backend conventions
-(``tests/test_api_facade.py``): unknown names fail loudly, listing what *is*
-registered.  The processes-transport tests hold the multiprocess backend to
+The name-table tests mirror the matrix-backend conventions
+(``tests/test_api_facade.py``): unknown names fail loudly, listing the valid
+ones.  The processes-transport tests hold the multiprocess backend to
 the same Communicator contract the threaded tests establish — collectives,
 point-to-point, failure aggregation with tracebacks, configurable timeouts —
 plus the pieces unique to crossing a process boundary: CommStats parity and
@@ -15,7 +15,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.config import SBPConfig, TransportName
+from repro.core.config import SBPConfig, get_transport
+from repro.core.config import TRANSPORTS as TRANSPORT_TABLE
 from repro.graphs.generators.degree import DegreeSequenceSpec
 from repro.graphs.generators.sbm import DCSBMSpec, generate_dcsbm_graph
 from repro.graphs.shm import share_graph
@@ -24,12 +25,6 @@ from repro.mpi.transport import (
     DEFAULT_TIMEOUT,
     DistributedError,
     SelfTransport,
-    Transport,
-    available_transports,
-    get_transport,
-    register_transport,
-    transport_registry_hint,
-    unregister_transport,
 )
 
 TRANSPORTS = ["threads", "processes"]
@@ -48,59 +43,44 @@ def small_graph():
     return generate_dcsbm_graph(spec, seed=13)
 
 
-class TestRegistry:
-    def test_builtin_transports_registered_in_order(self):
-        assert available_transports() == ["self", "threads", "processes"]
+class TestTransportTable:
+    def test_transport_names_in_order(self):
+        assert list(TRANSPORT_TABLE) == ["self", "threads", "processes"]
 
     def test_get_transport_by_name(self):
         assert get_transport("self") is get_transport("self")
         assert isinstance(get_transport("self"), SelfTransport)
-        for name in available_transports():
+        for name in TRANSPORT_TABLE:
             assert get_transport(name).name == name
 
     def test_get_transport_instance_passthrough(self):
         instance = get_transport("threads")
         assert get_transport(instance) is instance
 
-    def test_unknown_transport_lists_registered_transports(self):
+    @pytest.mark.parametrize("call", [
+        get_transport,
+        lambda name: SBPConfig(transport=name),
+        lambda name: run_distributed(2, lambda comm: comm.rank, transport=name),
+    ], ids=["get_transport", "SBPConfig", "run_distributed"])
+    def test_unknown_transport_lists_transport_names(self, call):
         with pytest.raises(ValueError) as excinfo:
-            get_transport("smoke-signals")
+            call("smoke-signals")
         message = str(excinfo.value)
-        for name in available_transports():
+        assert "unknown transport 'smoke-signals'" in message
+        for name in TRANSPORT_TABLE:
             assert repr(name) in message
 
     def test_non_string_rejected(self):
         with pytest.raises(TypeError):
             get_transport(42)
 
-    def test_register_and_unregister_round_trip(self):
-        @register_transport("carrier-pigeon")
-        class PigeonTransport(Transport):
-            def launch(self, num_ranks, fn, args=(), kwargs=None, *, timeout=None):
-                raise NotImplementedError
-
-        try:
-            assert "carrier-pigeon" in available_transports()
-            assert get_transport("carrier-pigeon").name == "carrier-pigeon"
-            assert "'carrier-pigeon'" in transport_registry_hint()
-        finally:
-            unregister_transport("carrier-pigeon")
-        assert "carrier-pigeon" not in available_transports()
-
-    def test_config_validates_against_live_registry(self):
-        with pytest.raises(ValueError) as excinfo:
-            SBPConfig(transport="smoke-signals")
-        message = str(excinfo.value)
-        for name in TransportName.ALL:
-            assert repr(name) in message
-
-    def test_config_accepts_every_builtin_transport(self):
-        for name in TransportName.ALL:
+    def test_config_accepts_every_transport(self):
+        for name in TRANSPORT_TABLE:
             assert SBPConfig(transport=name).transport == name
 
     def test_run_distributed_validates_transport_even_for_one_rank(self):
         # The single-rank shortcut must not swallow a typo'd transport name.
-        with pytest.raises(ValueError, match="registered transports"):
+        with pytest.raises(ValueError, match="unknown transport 'smoke-signals'"):
             run_distributed(1, lambda comm: comm.rank, transport="smoke-signals")
 
 
