@@ -9,10 +9,10 @@
 # pytest (e.g. `scripts/verify.sh tests/` to skip the benchmark suite).
 #
 #   --differential   run only the cross-backend differential suite
-#                    (tests/differential/): bit-identity of all three
-#                    storage backends (dict / csr / sparse_csr) through
-#                    sequential SBP, DC-SBP and EDiSt, golden-file
-#                    regression partitions, and old→new API equivalence.
+#                    (tests/differential/): bit-identity of both storage
+#                    backends (csr / sparse_csr) through sequential SBP,
+#                    DC-SBP and EDiSt, golden-file regression partitions
+#                    for all three strategies, and old→new API equivalence.
 #
 #   --examples       run every examples/*.py in scaled-down smoke mode
 #                    (REPRO_EXAMPLES_SMOKE=1), so breakage of the public

@@ -47,7 +47,7 @@ from repro.graphs.generators import (
 )
 from repro.evaluation import normalized_mutual_information, normalized_description_length
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 
 __all__ = [

@@ -101,7 +101,7 @@ def partition(
         (mutually exclusive with them); used by :class:`RunHandle`.
     **overrides:
         :class:`SBPConfig` field overrides, e.g. ``seed=0``,
-        ``matrix_backend="csr"`` (or ``"sparse_csr"`` past the dense
+        ``matrix_backend="sparse_csr"`` (past the default dense
         backend's block-count cap).
     """
     resolved_strategy = get_strategy(strategy)

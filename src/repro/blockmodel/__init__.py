@@ -3,13 +3,12 @@
 This package implements the data structures the paper's C++ implementation
 optimises (Section III-A):
 
-* a **block matrix protocol** (:mod:`repro.blockmodel.backend`) with
-  interchangeable storage backends: ``"dict"`` (hash maps +
-  transpose, the reference), ``"csr"`` (dense numpy, vectorized kernels)
-  and ``"sparse_csr"`` (scipy-free CSR/CSC + COO buffer — the vectorized
-  kernels without the dense memory bound),
-* the **sparse block matrix** stored as a vector of hash maps *plus its
-  transpose* for fast row- and column-wise access (optimisations (a)/(b)),
+* a **block matrix protocol** (:mod:`repro.blockmodel.backend`) with two
+  interchangeable storage backends: ``"csr"`` (dense numpy with cached
+  marginals, the default) and ``"sparse_csr"`` (scipy-free CSR/CSC + COO
+  buffer — the same vectorized kernels without the dense memory bound,
+  keeping the transpose for fast row- and column-wise access,
+  optimisations (a)/(b)),
 * **sparse deltas** so that the change in description length of a proposed
   vertex move or block merge touches only the affected rows/columns
   (optimisation (c)),
@@ -21,7 +20,6 @@ The pointer-based merge tracking (optimisation (d)) lives in
 """
 
 from repro.blockmodel.backend import BlockMatrixBackend
-from repro.blockmodel.sparse_matrix import SparseBlockMatrix
 from repro.blockmodel.csr_matrix import CSRBlockMatrix, MAX_DENSE_BLOCKS
 from repro.blockmodel.sparse_csr_matrix import SparseCSRBlockMatrix
 from repro.blockmodel.blockmodel import Blockmodel, VertexBlockCounts
@@ -43,7 +41,6 @@ from repro.blockmodel.deltas import (
 
 __all__ = [
     "BlockMatrixBackend",
-    "SparseBlockMatrix",
     "CSRBlockMatrix",
     "SparseCSRBlockMatrix",
     "MAX_DENSE_BLOCKS",

@@ -1,12 +1,12 @@
 """The formal block-matrix storage protocol.
 
-Every blockmodel storage backend — the hash-map reference
-(:class:`~repro.blockmodel.sparse_matrix.SparseBlockMatrix`), the dense
-vectorized array (:class:`~repro.blockmodel.csr_matrix.CSRBlockMatrix`) and
+Both blockmodel storage backends — the dense vectorized array
+(:class:`~repro.blockmodel.csr_matrix.CSRBlockMatrix`, the default) and
 the true-sparse CSR/COO representation
-(:class:`~repro.blockmodel.sparse_csr_matrix.SparseCSRBlockMatrix`) — is an
-implementation of :class:`BlockMatrixBackend`, listed under its
-:attr:`~BlockMatrixBackend.backend` name in
+(:class:`~repro.blockmodel.sparse_csr_matrix.SparseCSRBlockMatrix`, for
+block counts too large for a dense matrix) — implement
+:class:`BlockMatrixBackend` and are listed under their
+:attr:`~BlockMatrixBackend.backend` names in
 :data:`repro.core.config.BACKENDS`.
 
 The protocol has four layers:
@@ -28,11 +28,11 @@ clone / compact
     pending write buffer into the primary representation (a no-op for
     backends without one).
 
-Capability flags instead of ``hasattr`` probing: the delta kernels
+Every pipeline path — the vectorized ΔDL kernels
 (:func:`repro.blockmodel.deltas.delta_dl_for_moves`,
 :func:`repro.blockmodel.deltas.delta_dl_for_merges`,
-:func:`repro.core.proposals.hastings_corrections`) and the drivers dispatch
-on :attr:`BlockMatrixBackend.supports_batched_kernels`.
+:func:`repro.core.proposals.hastings_corrections`) and the drivers — runs
+on every backend through this protocol, with no per-backend branches.
 """
 
 from __future__ import annotations
@@ -62,19 +62,14 @@ class BlockMatrixBackend(abc.ABC):
 
     __slots__ = ()
 
-    #: Name in :data:`repro.core.config.BACKENDS` (``"dict"`` / ``"csr"`` / ``"sparse_csr"``).
+    #: Name in :data:`repro.core.config.BACKENDS` (``"csr"`` / ``"sparse_csr"``).
     backend: str = "abstract"
-
-    #: Whether the vectorized whole-batch kernels (``delta_dl_for_moves``,
-    #: ``delta_dl_for_merges``, ``hastings_corrections``) can run on this
-    #: backend.  Requires ``get_many`` / ``add_many`` / ``csr_structure``
-    #: to be efficient, not merely present.
-    supports_batched_kernels: bool = False
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
     @classmethod
+    @abc.abstractmethod
     def from_block_edges(
         cls,
         num_blocks: int,
@@ -82,19 +77,7 @@ class BlockMatrixBackend(abc.ABC):
         block_dst: np.ndarray,
         weights: np.ndarray,
     ) -> "BlockMatrixBackend":
-        """Build from per-edge block endpoints.
-
-        The default accumulates scalar :meth:`add` calls; array backends
-        override this with a vectorized aggregation.
-        """
-        out = cls(num_blocks)  # type: ignore[call-arg]
-        for i, j, w in zip(
-            np.asarray(block_src).tolist(),
-            np.asarray(block_dst).tolist(),
-            np.asarray(weights).tolist(),
-        ):
-            out.add(i, j, w)
-        return out
+        """Build from per-edge block endpoints (duplicate pairs accumulate)."""
 
     # ------------------------------------------------------------------
     # Element access / mutation
@@ -111,21 +94,13 @@ class BlockMatrixBackend(abc.ABC):
     def set(self, i: int, j: int, value: int) -> None:
         """Set entry ``(i, j)`` to ``value`` (must be non-negative)."""
 
+    @abc.abstractmethod
     def get_many(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Gather ``[(i, j)]`` entries as an int64 array (batched ``get``)."""
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        return np.asarray(
-            [self.get(int(i), int(j)) for i, j in zip(rows.tolist(), cols.tolist())],
-            dtype=np.int64,
-        )
 
+    @abc.abstractmethod
     def add_many(self, rows: np.ndarray, cols: np.ndarray, deltas: np.ndarray) -> None:
         """Scatter-add many deltas at once (duplicate positions accumulate)."""
-        for i, j, d in zip(
-            np.asarray(rows).tolist(), np.asarray(cols).tolist(), np.asarray(deltas).tolist()
-        ):
-            self.add(i, j, d)
 
     # ------------------------------------------------------------------
     # Row / column views
@@ -138,6 +113,7 @@ class BlockMatrixBackend(abc.ABC):
     def col(self, j: int) -> Dict[int, int]:
         """Non-zero entries of column ``j`` as ``{row: count}``."""
 
+    @abc.abstractmethod
     def row_entries(self, i: int) -> Tuple[np.ndarray, np.ndarray]:
         """Row ``i``'s non-zero ``(columns, values)`` in ascending column order.
 
@@ -146,17 +122,10 @@ class BlockMatrixBackend(abc.ABC):
         is what keeps a given RNG draw selecting the same block regardless
         of storage.
         """
-        row = self.row(i)
-        cols = np.asarray(sorted(row), dtype=np.int64)
-        vals = np.asarray([row[int(j)] for j in cols.tolist()], dtype=np.int64)
-        return cols, vals
 
+    @abc.abstractmethod
     def col_entries(self, j: int) -> Tuple[np.ndarray, np.ndarray]:
         """Column ``j``'s non-zero ``(rows, values)`` in ascending row order."""
-        col = self.col(j)
-        rows = np.asarray(sorted(col), dtype=np.int64)
-        vals = np.asarray([col[int(i)] for i in rows.tolist()], dtype=np.int64)
-        return rows, vals
 
     @abc.abstractmethod
     def row_sum(self, i: int) -> int: ...

@@ -16,7 +16,9 @@ rebuild the model between phases.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Dict, Optional, Sequence
 
 import numpy as np
@@ -94,7 +96,7 @@ class Blockmodel:
         cls,
         graph: Graph,
         num_blocks: Optional[int] = None,
-        matrix_backend: str = "dict",
+        matrix_backend: Optional[str] = None,
     ) -> "Blockmodel":
         """Initial blockmodel: every vertex in its own block (the SBP start).
 
@@ -102,8 +104,9 @@ class Blockmodel:
         vertices round-robin to that many blocks instead (useful for tests
         and for building models at a prescribed granularity).
         ``matrix_backend`` selects the block matrix storage (a name in
-        :data:`repro.core.config.BACKENDS`); rebuilds triggered by merges
-        preserve it.
+        :data:`repro.core.config.BACKENDS`, ``None`` for
+        :data:`~repro.core.config.DEFAULT_BACKEND`); rebuilds triggered by
+        merges preserve it.
         """
         if num_blocks is None or num_blocks >= graph.num_vertices:
             assignment = np.arange(graph.num_vertices, dtype=np.int64)
@@ -119,7 +122,7 @@ class Blockmodel:
         assignment: Sequence[int] | np.ndarray,
         num_blocks: Optional[int] = None,
         relabel: bool = False,
-        matrix_backend: str = "dict",
+        matrix_backend: Optional[str] = None,
     ) -> "Blockmodel":
         """Build the block matrix and degrees for a given assignment.
 
@@ -131,12 +134,14 @@ class Blockmodel:
             sorted unique labels are mapped to consecutive integers).
         matrix_backend:
             Block matrix storage, a name in
-            :data:`repro.core.config.BACKENDS`: ``"dict"``
-            (hash maps, the reference), ``"csr"`` (dense numpy arrays with
-            cached marginals) or ``"sparse_csr"`` (scipy-free CSR/COO, no
-            dense memory bound).
+            :data:`repro.core.config.BACKENDS`: ``"csr"`` (dense numpy
+            arrays with cached marginals) or ``"sparse_csr"`` (scipy-free
+            CSR/COO, no dense memory bound); ``None`` selects
+            :data:`~repro.core.config.DEFAULT_BACKEND`.
         """
-        backend_cls = config.get_backend(matrix_backend)
+        backend_cls = config.get_backend(
+            config.DEFAULT_BACKEND if matrix_backend is None else matrix_backend
+        )
         assignment = np.asarray(assignment, dtype=np.int64).copy()
         if assignment.shape != (graph.num_vertices,):
             raise ValueError("assignment must label every vertex")
@@ -164,10 +169,9 @@ class Blockmodel:
     def refresh_derived_state(self) -> None:
         """Recompute matrix, block degrees and sizes from the assignment.
 
-        Used by the vectorized sweep path after editing ``assignment``
-        directly: the derived state is a pure function of the assignment, so
-        one vectorized rebuild replaces many per-move incremental updates.
-        The storage backend is preserved.
+        For callers that edited ``assignment`` directly: the derived state
+        is a pure function of the assignment.  The storage backend is
+        preserved.
         """
         rebuilt = Blockmodel.from_assignment(
             self.graph, self.assignment, self.num_blocks, matrix_backend=self.matrix_backend
@@ -207,7 +211,7 @@ class Blockmodel:
     @property
     def matrix_backend(self) -> str:
         """:data:`~repro.core.config.BACKENDS` name of the block matrix storage."""
-        return getattr(self.matrix, "backend", "dict")
+        return self.matrix.backend
 
     def block_of(self, v: int) -> int:
         return int(self.assignment[v])
@@ -270,40 +274,28 @@ class Blockmodel:
         if counts is None:
             counts = self.vertex_block_counts(v)
 
-        matrix = self.matrix
-        if getattr(matrix, "supports_batched_kernels", False):
-            # Batched scatter-add: one numpy call instead of 2×(deg) scalar adds.
-            rows: list = []
-            cols: list = []
-            deltas: list = []
-            for b, w in counts.out_counts.items():
-                rows += (from_block, to_block)
-                cols += (b, b)
-                deltas += (-w, w)
-            for b, w in counts.in_counts.items():
-                rows += (b, b)
-                cols += (from_block, to_block)
-                deltas += (-w, w)
-            if counts.self_loop:
-                rows += (from_block, to_block)
-                cols += (from_block, to_block)
-                deltas += (-counts.self_loop, counts.self_loop)
-            if rows:
-                matrix.add_many(
-                    np.asarray(rows, dtype=np.int64),
-                    np.asarray(cols, dtype=np.int64),
-                    np.asarray(deltas, dtype=np.int64),
-                )
-        else:
-            for b, w in counts.out_counts.items():
-                matrix.add(from_block, b, -w)
-                matrix.add(to_block, b, w)
-            for b, w in counts.in_counts.items():
-                matrix.add(b, from_block, -w)
-                matrix.add(b, to_block, w)
-            if counts.self_loop:
-                matrix.add(from_block, from_block, -counts.self_loop)
-                matrix.add(to_block, to_block, counts.self_loop)
+        # Batched scatter-add: one numpy call instead of 2×(deg) scalar adds.
+        rows: list = []
+        cols: list = []
+        deltas: list = []
+        for b, w in counts.out_counts.items():
+            rows += (from_block, to_block)
+            cols += (b, b)
+            deltas += (-w, w)
+        for b, w in counts.in_counts.items():
+            rows += (b, b)
+            cols += (from_block, to_block)
+            deltas += (-w, w)
+        if counts.self_loop:
+            rows += (from_block, to_block)
+            cols += (from_block, to_block)
+            deltas += (-counts.self_loop, counts.self_loop)
+        if rows:
+            self.matrix.add_many(
+                np.asarray(rows, dtype=np.int64),
+                np.asarray(cols, dtype=np.int64),
+                np.asarray(deltas, dtype=np.int64),
+            )
 
         out_total = counts.out_total
         in_total = counts.in_total
@@ -314,6 +306,59 @@ class Blockmodel:
         self.block_sizes[from_block] -= 1
         self.block_sizes[to_block] += 1
         self.assignment[v] = to_block
+
+    def move_vertices(self, vertices: np.ndarray, to_blocks: np.ndarray) -> None:
+        """Move many distinct vertices at once and update all derived state.
+
+        The end state is the one :meth:`move_vertex` calls in any order would
+        leave (the derived state is a function of the assignment), but the
+        block matrix takes a single batched update built from the moved
+        vertices' edges, so the cost is O(their degrees) in a fixed number
+        of numpy calls.  The asynchronous Gibbs batches apply their accepted
+        moves this way, and EDiSt replicas their peers' moves.
+        """
+        vertices = np.asarray(vertices, dtype=np.int64)
+        to_blocks = np.asarray(to_blocks, dtype=np.int64)
+        if to_blocks.size and (to_blocks.min() < 0 or to_blocks.max() >= self.num_blocks):
+            raise ValueError(f"target blocks must lie in [0, {self.num_blocks})")
+        from_blocks = self.assignment[vertices]
+        moving = from_blocks != to_blocks
+        vertices, from_blocks, to_blocks = vertices[moving], from_blocks[moving], to_blocks[moving]
+        if vertices.size == 0:
+            return
+        graph = self.graph
+        out_ptr, out_idx, out_w = graph.out_adjacency()
+        in_ptr, in_idx, in_w = graph.in_adjacency()
+        out_len = out_ptr[vertices + 1] - out_ptr[vertices]
+        in_len = in_ptr[vertices + 1] - in_ptr[vertices]
+        out_flat = concat_ranges(out_ptr[vertices], out_len)
+        in_flat = concat_ranges(in_ptr[vertices], in_len)
+        # The moved vertices' out-edges (self-loops included), then their
+        # in-edges; an in-edge from another moved vertex is already among
+        # that vertex's out-edges and is dropped below.
+        src = np.concatenate([np.repeat(vertices, out_len), in_idx[in_flat]])
+        dst = np.concatenate([out_idx[out_flat], np.repeat(vertices, in_len)])
+        w = np.concatenate([out_w[out_flat], in_w[in_flat]])
+        old_rows, old_cols = self.assignment[src], self.assignment[dst]
+        self.assignment[vertices] = to_blocks
+        new_rows, new_cols = self.assignment[src], self.assignment[dst]
+        keep = np.ones(src.shape[0], dtype=bool)
+        keep[out_flat.shape[0]:] = old_rows[out_flat.shape[0]:] == new_rows[out_flat.shape[0]:]
+        if keep.any():
+            w = w[keep]
+            self.matrix.add_many(
+                np.concatenate([old_rows[keep], new_rows[keep]]),
+                np.concatenate([old_cols[keep], new_cols[keep]]),
+                np.concatenate([-w, w]),
+            )
+
+        blocks = np.concatenate([from_blocks, to_blocks])
+        for derived, per_vertex in (
+            (self.block_out_degrees, graph.out_degrees[vertices]),
+            (self.block_in_degrees, graph.in_degrees[vertices]),
+            (self.block_sizes, np.ones_like(vertices)),
+        ):
+            np.add.at(derived, blocks, np.concatenate([-per_vertex, per_vertex]))
 
     # ------------------------------------------------------------------
     # Block merges
@@ -343,62 +388,40 @@ class Blockmodel:
         """Sample a block adjacent to ``block`` ∝ its edge multiplicities.
 
         Considers both out-edges (row) and in-edges (column) of ``block``.
-        Returns ``-1`` if ``block`` has no incident edges.  Entries are
-        scanned in ascending block order for both storage backends, so a
-        given RNG draw selects the same block regardless of backend.
+        Returns ``-1`` if ``block`` has no incident edges.  The draw is a
+        cumulative-sum search over the row's non-zero entries, then (for
+        draws beyond the row total) over the column's; entries are in
+        ascending block order on every backend, so a given RNG draw selects
+        the same block regardless of storage.
 
-        ``cumsum_cache`` (array backends only) memoizes the per-block
-        cumulative sums across calls; callers that sample the same blocks
-        many times while the blockmodel is *frozen* — the merge-proposal
-        loop — pass a dict they own.  Caching changes neither the RNG
-        consumption nor the result.
+        ``cumsum_cache`` memoizes the per-block cumulative sums across
+        calls; callers that sample the same blocks many times while the
+        blockmodel is *frozen* — the merge-proposal loop — pass a dict they
+        own.  Caching changes neither the RNG consumption nor the result.
         """
         total = int(self.block_out_degrees[block]) + int(self.block_in_degrees[block])
         if total <= 0:
             return -1
         target = int(rng.integers(0, total))
         matrix = self.matrix
-        if getattr(matrix, "supports_batched_kernels", False):
-            # Array backends: cumulative-sum search over the row's non-zero
-            # entries, then (for draws beyond the row total) over the
-            # column's.  Searching the sparse cumulative sums selects the
-            # same block as the dense-row search used previously: the dense
-            # cumsum is flat across zero entries, so ``side="right"`` lands
-            # on exactly the non-zero entry whose partial sum first exceeds
-            # the target.
-            row_total = matrix.row_sum(block)
-            if target < row_total:
-                key = ("row", block)
-                cached = cumsum_cache.get(key) if cumsum_cache is not None else None
-                if cached is None:
-                    idx, vals = matrix.row_entries(block)
-                    cached = (np.cumsum(vals), idx)
-                    if cumsum_cache is not None:
-                        cumsum_cache[key] = cached
-                cum, idx = cached
-                return int(idx[np.searchsorted(cum, target, side="right")])
-            key = ("col", block)
-            cached = cumsum_cache.get(key) if cumsum_cache is not None else None
-            if cached is None:
-                idx, vals = matrix.col_entries(block)
-                cached = (np.cumsum(vals), idx)
-                if cumsum_cache is not None:
-                    cumsum_cache[key] = cached
-            cum, idx = cached
-            return int(idx[np.searchsorted(cum, target - row_total, side="right")])
-        row = matrix.row(block)
-        col = matrix.col(block)
-        acc = 0
-        for j in sorted(row):
-            acc += row[j]
-            if target < acc:
-                return int(j)
-        for i in sorted(col):
-            acc += col[i]
-            if target < acc:
-                return int(i)
-        # Numerical safety: should not happen because degrees equal the sums.
-        return int(min(row) if row else min(col))
+        row_total = matrix.row_sum(block)
+        if target < row_total:
+            key, entries = ("row", block), matrix.row_entries
+        else:
+            key, entries, target = ("col", block), matrix.col_entries, target - row_total
+        cached = cumsum_cache.get(key) if cumsum_cache is not None else None
+        if cached is None:
+            idx, vals = entries(block)
+            # Python lists, ``accumulate`` and ``bisect``: on these short
+            # arrays a lookup costs a tenth of a ``np.searchsorted`` call, and
+            # neither drops the GIL, which concurrent runs (service workers,
+            # thread ranks) would otherwise hand to another thread each time.
+            cached = (list(accumulate(vals.tolist())), idx.tolist())
+            if cumsum_cache is not None:
+                cumsum_cache[key] = cached
+        cum, idx = cached
+        # The first entry whose partial sum exceeds the target.
+        return idx[bisect_right(cum, target)]
 
     # ------------------------------------------------------------------
     # Validation
@@ -429,6 +452,16 @@ class Blockmodel:
             f"Blockmodel(V={self.num_vertices}, E={self.num_edges}, "
             f"B={self.num_blocks}, nonempty={self.num_nonempty_blocks()})"
         )
+
+
+def concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Indices of the concatenation of ``[starts[k], starts[k]+lengths[k])``."""
+    total = int(lengths.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64)
+    ends = np.cumsum(lengths)
+    offsets = np.repeat(starts - np.concatenate([[0], ends[:-1]]), lengths)
+    return np.arange(total, dtype=np.int64) + offsets
 
 
 def resolve_merge_chain(merge_target: np.ndarray) -> np.ndarray:

@@ -1,15 +1,14 @@
-"""Array-backed block matrix: the vectorized storage backend.
+"""Array-backed block matrix: the default storage backend.
 
-:class:`CSRBlockMatrix` is the numpy counterpart of
-:class:`~repro.blockmodel.sparse_matrix.SparseBlockMatrix`.  It is built
-directly from the graph's CSR adjacency (hence the name) but stores the
-block matrix as a dense ``(B, B)`` ``int64`` array together with cached row
-and column sums, because the SBP inner loops need random access to entries
-*and* O(1) marginals far more often than they need sparsity.
+:class:`CSRBlockMatrix` is built directly from the graph's CSR adjacency
+(hence the name) but stores the block matrix as a dense ``(B, B)``
+``int64`` array together with cached row and column sums, because the SBP
+inner loops need random access to entries *and* O(1) marginals far more
+often than they need sparsity.
 
-On top of the scalar API shared with the dict backend (``get`` / ``add`` /
-``set`` / ``row`` / ``col`` / ``entries`` / ...) it exposes the batched
-primitives the vectorized evaluation kernels are built on:
+On top of the scalar protocol API (``get`` / ``add`` / ``set`` / ``row`` /
+``col`` / ``entries`` / ...) it serves the batched primitives the
+vectorized evaluation kernels are built on:
 
 ``get_many(rows, cols)``
     Fancy-indexed gather of many entries at once.
@@ -22,9 +21,8 @@ primitives the vectorized evaluation kernels are built on:
     ``(i, j, value)`` arrays over the non-zero entries, row-major.
 
 Memory is O(B²): the backend is intended for graphs up to a few tens of
-thousands of vertices (``MAX_DENSE_BLOCKS``); beyond that the dict backend
-remains the storage of record.  Select it per run with
-``SBPConfig(matrix_backend="csr")``.
+thousands of vertices (``MAX_DENSE_BLOCKS``); beyond that
+``SBPConfig(matrix_backend="sparse_csr")`` stores only the non-zeros.
 """
 
 from __future__ import annotations
@@ -47,15 +45,14 @@ MAX_DENSE_BLOCKS = 32768
 class CSRBlockMatrix(BlockMatrixBackend):
     """A square integer block matrix backed by a dense numpy array.
 
-    Implements the same :class:`BlockMatrixBackend` protocol as
-    :class:`SparseBlockMatrix` (the backends are interchangeable inside
-    :class:`~repro.blockmodel.blockmodel.Blockmodel`) plus the batched
-    accessors used by the vectorized MCMC kernels.  Row and column sums are
+    Implements the :class:`BlockMatrixBackend` protocol (interchangeable
+    with :class:`~repro.blockmodel.sparse_csr_matrix.SparseCSRBlockMatrix`
+    inside :class:`~repro.blockmodel.blockmodel.Blockmodel`) plus the dense
+    ``row_array`` / ``col_array`` views.  Row and column sums are
     maintained incrementally so marginals are O(1).
     """
 
     backend = "csr"
-    supports_batched_kernels = True
 
     __slots__ = ("num_blocks", "data", "_row_sums", "_col_sums")
 
@@ -66,7 +63,7 @@ class CSRBlockMatrix(BlockMatrixBackend):
             raise ValueError(
                 f"the 'csr' backend allocates a dense {num_blocks}x{num_blocks} matrix; "
                 f"the limit is {MAX_DENSE_BLOCKS} blocks — for larger graphs use matrix_backend "
-                "'sparse_csr' (the vectorized kernels without the dense memory bound) or 'dict'"
+                "'sparse_csr' (the same vectorized kernels without the dense memory bound)"
             )
         self.num_blocks = int(num_blocks)
         self.data = np.zeros((num_blocks, num_blocks), dtype=np.int64)
@@ -90,7 +87,7 @@ class CSRBlockMatrix(BlockMatrixBackend):
         return out
 
     # ------------------------------------------------------------------
-    # Scalar element access (SparseBlockMatrix-compatible)
+    # Scalar element access
     # ------------------------------------------------------------------
     def get(self, i: int, j: int) -> int:
         """Return entry ``(i, j)`` (0 when absent)."""
@@ -161,7 +158,7 @@ class CSRBlockMatrix(BlockMatrixBackend):
         return rows, col[rows]
 
     # ------------------------------------------------------------------
-    # Row / column views (snapshots, unlike the dict backend's live views)
+    # Row / column views (snapshots)
     # ------------------------------------------------------------------
     def row(self, i: int) -> Dict[int, int]:
         """Non-zero entries of row ``i`` as ``{column: count}`` (snapshot)."""
@@ -236,8 +233,8 @@ class CSRBlockMatrix(BlockMatrixBackend):
             raise AssertionError("cached column sums out of sync")
 
     def __eq__(self, other: object) -> bool:
-        # Cross-backend comparison goes through the dense form so that a dict
-        # and a CSR matrix holding the same counts compare equal.
+        # Cross-backend comparison goes through the dense form so that a
+        # dense and a sparse matrix holding the same counts compare equal.
         if hasattr(other, "to_dense") and hasattr(other, "num_blocks"):
             return self.num_blocks == other.num_blocks and np.array_equal(
                 self.data, other.to_dense()

@@ -25,10 +25,11 @@ from typing import Dict, Iterable, Mapping, Optional
 
 import numpy as np
 
-from repro.blockmodel.blockmodel import Blockmodel, VertexBlockCounts
+from repro.blockmodel.blockmodel import Blockmodel, VertexBlockCounts, concat_ranges
 from repro.blockmodel.entropy import model_complexity_term
 
 __all__ = [
+    "MERGE_SCORE_CHUNK",
     "MoveDelta",
     "BatchMoveEvaluation",
     "delta_dl_for_move",
@@ -86,9 +87,8 @@ def _region_likelihood(
     """
     total = 0.0
     row_ids = set(rows.keys())
-    # Entries are accumulated in ascending index order so that both storage
-    # backends (insertion-ordered dicts vs. sorted array snapshots) produce
-    # bit-identical sums.
+    # Entries are accumulated in ascending index order so that the sums do
+    # not depend on the order a backend's row/column snapshots come in.
     for i, row in rows.items():
         douti = d_out[i]
         if douti <= 0:
@@ -349,16 +349,6 @@ class BatchMoveEvaluation:
         return np.where(found, self.entry_deltas[pos_clipped], 0)
 
 
-def _concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Indices of the concatenation of ``[starts[k], starts[k]+lengths[k])``."""
-    total = int(lengths.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    ends = np.cumsum(lengths)
-    offsets = np.repeat(starts - np.concatenate([[0], ends[:-1]]), lengths)
-    return np.arange(total, dtype=np.int64) + offsets
-
-
 def _batch_neighbor_counts(graph, assignment: np.ndarray, vertices: np.ndarray, direction: str):
     """Flattened per-move neighbour-block counts for one edge direction.
 
@@ -373,7 +363,7 @@ def _batch_neighbor_counts(graph, assignment: np.ndarray, vertices: np.ndarray, 
     m = vertices.shape[0]
     starts = indptr[vertices]
     lengths = indptr[vertices + 1] - starts
-    flat = _concat_ranges(starts, lengths)
+    flat = concat_ranges(starts, lengths)
     move = np.repeat(np.arange(m, dtype=np.int64), lengths)
     nbr = indices[flat]
     w = data[flat]
@@ -408,20 +398,13 @@ def delta_dl_for_moves(
     is exactly the staleness semantics of the asynchronous Gibbs batches in
     :mod:`repro.core.hybrid_mcmc`.
 
-    Requires a backend with ``supports_batched_kernels`` (``"csr"`` or
-    ``"sparse_csr"``); moves proposing ``to_block == from_block`` get
-    ``ΔDL = 0``.
+    Moves proposing ``to_block == from_block`` get ``ΔDL = 0``.
     """
     vertices = np.asarray(vertices, dtype=np.int64)
     to_blocks = np.asarray(to_blocks, dtype=np.int64)
     if vertices.shape != to_blocks.shape:
         raise ValueError("vertices and to_blocks must have the same shape")
     matrix = blockmodel.matrix
-    if not getattr(matrix, "supports_batched_kernels", False):
-        raise TypeError(
-            "delta_dl_for_moves requires a backend with supports_batched_kernels "
-            "(e.g. SBPConfig(matrix_backend='csr') or 'sparse_csr')"
-        )
     m = vertices.shape[0]
     num_blocks = blockmodel.num_blocks
     assignment = blockmodel.assignment
@@ -553,8 +536,8 @@ def _merge_region_sums(
     merge kernels.  ``np.bincount`` accumulates its weights strictly
     sequentially in input order, so as long as both callers lay out a merge
     candidate's region entries in the same order, the two paths produce
-    **bit-identical** sums — which is what lets the dict and CSR backends
-    select identical merges (the sort keys of the merge phase are these
+    **bit-identical** sums — which is what makes the scalar kernel an exact
+    oracle for the batched one (the sort keys of the merge phase are these
     floats).  All entries must have ``v > 0`` and ``denom > 0``.
     """
     if values.size == 0:
@@ -660,11 +643,18 @@ def delta_dl_for_merge(
     return delta
 
 
+#: Merge candidates gathered per pass of :func:`delta_dl_for_merges`.  The
+#: kernel's temporaries grow with the candidates' summed row and column
+#: lengths, so fixed chunks bound peak memory while keeping each pass large
+#: enough to amortise numpy's per-call overhead.
+MERGE_SCORE_CHUNK = 128
+
+
 def _gather_segments(ptr: np.ndarray, blocks: np.ndarray) -> tuple:
     """Flattened CSR segments of the given blocks: (candidate_idx, flat_idx)."""
     starts = ptr[blocks]
     lengths = ptr[blocks + 1] - starts
-    flat = _concat_ranges(starts, lengths)
+    flat = concat_ranges(starts, lengths)
     cand = np.repeat(np.arange(blocks.shape[0], dtype=np.int64), lengths)
     return cand, flat
 
@@ -683,41 +673,44 @@ def delta_dl_for_merges(
     is O(Σ nnz(rows/cols touched)), on top of a once-per-call
     ``matrix.csr_structure()`` build (a zero-copy view on the sparse_csr
     backend; O(B²) + O(nnz·log nnz) on the dense backend) — callers
-    amortise that by scoring a whole phase's candidates in one batch, the
-    way :func:`repro.core.merges.best_segmented_merges` does.
+    amortise that by scoring a whole phase's candidates in one call, the
+    way :func:`repro.core.merges.best_segmented_merges` does.  The
+    candidates are gathered in chunks of :data:`MERGE_SCORE_CHUNK`, so
+    peak memory does not grow with the batch.
 
     Each candidate's region entries are laid out in exactly the canonical
     order of the scalar kernel and summed through the same sequential
     primitive (:func:`_merge_region_sums`), so the returned deltas are
-    **bit-identical** to per-candidate :func:`delta_dl_for_merge` calls —
-    the property the cross-backend differential suite locks down.
+    **bit-identical** to per-candidate :func:`delta_dl_for_merge` calls,
+    whatever chunk a candidate lands in — the property the cross-backend
+    differential suite locks down.
 
-    Requires a backend with ``supports_batched_kernels`` (``"csr"`` or
-    ``"sparse_csr"``).  Candidates with ``from_block == to_block`` get
-    ``ΔDL = 0``.
+    Candidates with ``from_block == to_block`` get ``ΔDL = 0``.
     """
     from_blocks = np.asarray(from_blocks, dtype=np.int64)
     to_blocks = np.asarray(to_blocks, dtype=np.int64)
     if from_blocks.shape != to_blocks.shape:
         raise ValueError("from_blocks and to_blocks must have the same shape")
-    matrix = blockmodel.matrix
-    if not getattr(matrix, "supports_batched_kernels", False):
-        raise TypeError(
-            "delta_dl_for_merges requires a backend with supports_batched_kernels "
-            "(e.g. SBPConfig(matrix_backend='csr') or 'sparse_csr')"
-        )
-    total = from_blocks.shape[0]
-    deltas = np.zeros(total, dtype=np.float64)
+    deltas = np.zeros(from_blocks.shape[0], dtype=np.float64)
     valid = np.flatnonzero(from_blocks != to_blocks)
     if valid.size == 0:
         return deltas
-    r = from_blocks[valid]
-    s = to_blocks[valid]
-    m = valid.size
+    structure = blockmodel.matrix.csr_structure()
+    for start in range(0, valid.size, MERGE_SCORE_CHUNK):
+        chunk = valid[start:start + MERGE_SCORE_CHUNK]
+        deltas[chunk] = _merge_deltas(blockmodel, from_blocks[chunk], to_blocks[chunk], structure)
+    if include_model_term:
+        deltas[valid] += _merge_model_term_delta(blockmodel)
+    return deltas
+
+
+def _merge_deltas(blockmodel: Blockmodel, r: np.ndarray, s: np.ndarray, structure: tuple) -> np.ndarray:
+    """Likelihood ΔDL of merging each ``r[k]`` into ``s[k] != r[k]``."""
+    m = r.size
     num_blocks = np.int64(blockmodel.num_blocks)
     d_out = blockmodel.block_out_degrees
     d_in = blockmodel.block_in_degrees
-    (row_j, row_v, row_ptr), (col_i, col_v, col_ptr) = matrix.csr_structure()
+    (row_j, row_v, row_ptr), (col_i, col_v, col_ptr) = structure
 
     # ------------------------------------------------------------------
     # Old region, laid out per candidate as [row r | row s | col r | col s]
@@ -782,7 +775,4 @@ def delta_dl_for_merges(
         m,
     )
 
-    deltas[valid] = old_sums - new_sums
-    if include_model_term:
-        deltas[valid] += _merge_model_term_delta(blockmodel)
-    return deltas
+    return old_sums - new_sums

@@ -62,19 +62,11 @@ def log_likelihood(blockmodel: "Blockmodel") -> float:
     """
     d_out = blockmodel.block_out_degrees
     d_in = blockmodel.block_in_degrees
-    matrix = blockmodel.matrix
-    if hasattr(matrix, "nonzero_arrays"):
-        # Array backend: one vectorized pass over the non-zero entries.
-        i, j, v = matrix.nonzero_arrays()
-        if v.size == 0:
-            return 0.0
-        denom = d_out[i].astype(np.float64) * d_in[j].astype(np.float64)
-        return float(np.sum(v * np.log(v / denom)))
-    total = 0.0
-    for i, j, value in matrix.entries():
-        denom = float(d_out[i]) * float(d_in[j])
-        total += value * math.log(value / denom)
-    return total
+    i, j, v = blockmodel.matrix.nonzero_arrays()
+    if v.size == 0:
+        return 0.0
+    denom = d_out[i].astype(np.float64) * d_in[j].astype(np.float64)
+    return float(np.sum(v * np.log(v / denom)))
 
 
 def blockmodel_entropy_term(blockmodel: "Blockmodel") -> float:

@@ -36,8 +36,8 @@ Equivalence
 ``nonzero_arrays`` / ``row_entries`` / ``col_entries`` / ``csr_structure``
 enumerate entries in exactly the ascending orders the other backends use,
 so the shared sequential-sum kernels produce bit-identical ΔDL floats and
-the differential suite (``tests/differential/``) passes unchanged against
-both the ``"dict"`` reference and the dense ``"csr"`` backend.
+the differential suite (``tests/differential/``) holds it bit-identical to
+the dense ``"csr"`` backend and to the committed golden partitions.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ class SparseCSRBlockMatrix(BlockMatrixBackend):
     """A square sparse integer matrix in CSR + CSC form with a COO buffer."""
 
     backend = "sparse_csr"
-    supports_batched_kernels = True
 
     __slots__ = (
         "num_blocks",

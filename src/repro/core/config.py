@@ -20,7 +20,6 @@ from typing import Callable, Dict, Mapping, Optional, Type, TypeVar, Union
 from repro.blockmodel.backend import BlockMatrixBackend
 from repro.blockmodel.csr_matrix import CSRBlockMatrix
 from repro.blockmodel.sparse_csr_matrix import SparseCSRBlockMatrix
-from repro.blockmodel.sparse_matrix import SparseBlockMatrix
 from repro.mpi.processes import ProcessTransport
 from repro.mpi.threaded import ThreadTransport
 from repro.mpi.transport import SelfTransport, Transport
@@ -30,6 +29,7 @@ __all__ = [
     "MCMCVariant",
     "MatrixBackend",
     "TransportName",
+    "DEFAULT_BACKEND",
     "DEFAULT_TRANSPORT",
     "BACKENDS",
     "TRANSPORTS",
@@ -64,11 +64,9 @@ class MCMCVariant:
 class MatrixBackend:
     """Names of the blockmodel storage backends (the keys of :data:`BACKENDS`)."""
 
-    #: Hash-map rows + transpose — the reference implementation, O(nnz)
-    #: memory, works at any graph size.
-    DICT = "dict"
-    #: Dense numpy array with cached marginals — enables the vectorized
-    #: batch kernels; memory is O(B²), capped at ``MAX_DENSE_BLOCKS``.
+    #: Dense numpy array with cached marginals — the default and the fastest
+    #: at the block counts SBP spends most of its time in; memory is O(B²),
+    #: capped at ``MAX_DENSE_BLOCKS``.
     CSR = "csr"
     #: Scipy-free CSR/COO sparse arrays — the vectorized kernels without the
     #: dense memory bound: O(nnz + B) memory at any block count.
@@ -92,9 +90,13 @@ class TransportName:
 #: The transport of ``SBPConfig()`` and of ``run_distributed(transport=None)``.
 DEFAULT_TRANSPORT = TransportName.THREADS
 
+#: The storage backend of ``SBPConfig()`` and of
+#: ``Blockmodel.from_graph`` / ``from_assignment(matrix_backend=None)``.
+DEFAULT_BACKEND = MatrixBackend.CSR
+
 #: Storage backend name → block matrix class.
 BACKENDS: Dict[str, Type[BlockMatrixBackend]] = {
-    cls.backend: cls for cls in (SparseBlockMatrix, CSRBlockMatrix, SparseCSRBlockMatrix)
+    cls.backend: cls for cls in (CSRBlockMatrix, SparseCSRBlockMatrix)
 }
 
 #: Transport name → its shared, stateless instance.
@@ -150,14 +152,12 @@ class SBPConfig:
         original Graph Challenge python parallelism — used by the reference
         DC-SBP implementation of Table VI).
     matrix_backend:
-        Blockmodel storage, one of the :data:`BACKENDS` names: ``"dict"``
-        (hash-map rows + transpose, the reference implementation),
-        ``"csr"`` (dense numpy arrays with cached marginals, O(B²) memory,
-        capped at ``MAX_DENSE_BLOCKS``) or ``"sparse_csr"`` (scipy-free
-        CSR/COO arrays, O(nnz + B) memory at any block count).  On the array
-        backends the asynchronous Gibbs batches and the merge phase are
-        scored with vectorized whole-batch kernels instead of
-        per-candidate Python calls.
+        Blockmodel storage, one of the :data:`BACKENDS` names: ``"csr"``
+        (the default: dense numpy arrays with cached marginals, O(B²)
+        memory, capped at ``MAX_DENSE_BLOCKS``) or ``"sparse_csr"``
+        (scipy-free CSR/COO arrays, O(nnz + B) memory at any block count).
+        Both run the same vectorized whole-batch kernels and produce
+        bit-identical partitions under a fixed seed.
     transport:
         Where the simulated MPI ranks physically run, one of the
         :data:`TRANSPORTS` names: ``"threads"`` (one thread per rank —
@@ -194,7 +194,7 @@ class SBPConfig:
     mcmc_convergence_threshold: float = 1e-4
     min_blocks: int = 1
     mcmc_variant: str = MCMCVariant.HYBRID
-    matrix_backend: str = MatrixBackend.DICT
+    matrix_backend: str = DEFAULT_BACKEND
     transport: str = DEFAULT_TRANSPORT
     hybrid_high_degree_fraction: float = 0.25
     hybrid_batch_size: int = 64

@@ -131,16 +131,19 @@ def distributed_mcmc_phase(
         with timers.measure("mcmc_apply"):
             accepted_this_iteration = 0
             proposed_this_iteration = 0
+            peer_moves: List[Tuple[int, int]] = []
             for source_rank, entry in enumerate(gathered):
                 moves, proposed = entry if lifecycle_sync else (entry, 0)
                 accepted_this_iteration += len(moves)
                 proposed_this_iteration += int(proposed)
-                if source_rank == comm.rank:
-                    continue  # already applied during the local sweep
-                for vertex, block in moves:
-                    # Alg. 5 line 18: skip moves that are already in effect.
-                    if int(blockmodel.assignment[vertex]) != block:
-                        blockmodel.move_vertex(int(vertex), int(block))
+                if source_rank != comm.rank:  # own moves were applied by the sweep
+                    peer_moves.extend(moves)
+            # One batched update for all peers' moves: every vertex has one
+            # owner, so the moves touch distinct vertices, and moves already
+            # in effect are skipped (Alg. 5 line 18).
+            if peer_moves:
+                vertices, blocks = zip(*peer_moves)
+                blockmodel.move_vertices(np.asarray(vertices), np.asarray(blocks))
             total_accepted += accepted_this_iteration
         # Alg. 5 line 22 recomputes the MDL on every rank; all replicas are
         # identical at this point, so in the *simulated* (single-process)
@@ -258,6 +261,7 @@ def edist_rank_program(
         "assignment": best.blockmodel.assignment.copy(),
         "description_length": best.description_length,
         "phase_seconds": timers.as_dict(),
+        "phase_cpu_seconds": timers.cpu_as_dict(),
         "history": history,
         "cycles": cycle,
         "stopped": root_ctx.stop_reason,
@@ -309,6 +313,7 @@ def edist(
         comm_stats=CommStats.aggregate(run.comm_stats),
         metadata={
             "per_rank_phase_seconds": per_rank_phases,
+            "per_rank_phase_cpu_seconds": [r["phase_cpu_seconds"] for r in run.results],
             "cycles": root["cycles"],
             **({"stopped": root["stopped"]} if root.get("stopped") else {}),
         },

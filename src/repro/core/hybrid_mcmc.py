@@ -32,7 +32,10 @@ from repro.blockmodel.blockmodel import Blockmodel
 from repro.blockmodel.deltas import delta_dl_for_moves
 from repro.core.config import SBPConfig
 from repro.core.mcmc import SweepResult, metropolis_hastings_sweep
-from repro.core.proposals import (
+# ``acceptance_probability`` and ``evaluate_vertex_move`` (the scalar oracles
+# of the batch kernels) stay bound here: bench/trace.py attributes calls
+# through this module's names.
+from repro.core.proposals import (  # noqa: F401
     acceptance_probabilities,
     acceptance_probability,
     evaluate_vertex_move,
@@ -75,49 +78,13 @@ def asynchronous_batch(
     """Evaluate a batch of proposals against a stale state, then apply them.
 
     Every proposal in the batch is generated and evaluated against the
-    blockmodel as it stood at the start of the batch.  Accepted moves are
+    blockmodel as it stood at the start of the batch.  Proposals and
+    acceptance uniforms are drawn per vertex, in batch order; all ΔDL
+    evaluations and Hastings corrections of the batch are then computed with
+    the vectorized kernels (:func:`repro.blockmodel.deltas.delta_dl_for_moves`)
+    in a handful of whole-batch numpy operations.  Accepted moves are
     applied afterwards; their recorded ΔDL values are the stale estimates
     (the phase driver recomputes the exact DL at the end of the phase).
-    """
-    if getattr(blockmodel.matrix, "supports_batched_kernels", False):
-        return _vectorized_asynchronous_batch(blockmodel, batch, config, rng)
-    result = SweepResult()
-    # The blockmodel is not mutated while the batch is being evaluated, so it
-    # *is* the stale snapshot every proposal sees; no copy is needed.
-    accepted: List[Tuple[int, int, float]] = []
-    for v in batch:
-        v = int(v)
-        proposal_block = propose_block_for_vertex(blockmodel, v, rng)
-        current_block = int(blockmodel.assignment[v])
-        if proposal_block == current_block:
-            continue
-        result.proposed_moves += 1
-        evaluation = evaluate_vertex_move(blockmodel, v, proposal_block)
-        if rng.random() < acceptance_probability(evaluation, config.beta):
-            accepted.append((v, proposal_block, evaluation.delta_dl))
-    for v, target, delta in accepted:
-        if int(blockmodel.assignment[v]) != target:
-            blockmodel.move_vertex(v, target)
-        result.accepted_moves += 1
-        result.delta_dl += delta
-        result.moves.append((v, target))
-    return result
-
-
-def _vectorized_asynchronous_batch(
-    blockmodel: Blockmodel,
-    batch: Sequence[int],
-    config: SBPConfig,
-    rng: np.random.Generator,
-) -> SweepResult:
-    """Batched-backend version of :func:`asynchronous_batch`.
-
-    Proposals (and the acceptance uniforms) are still drawn per vertex in
-    exactly the same order as the scalar path — so a fixed seed yields the
-    same proposal sequence on both backends — but all ΔDL evaluations and
-    Hastings corrections of the batch are computed with the vectorized
-    kernels (:func:`repro.blockmodel.deltas.delta_dl_for_moves`) in a
-    handful of whole-batch numpy operations.
     """
     result = SweepResult()
     assignment = blockmodel.assignment
@@ -132,8 +99,6 @@ def _vectorized_asynchronous_batch(
         result.proposed_moves += 1
         move_vertices.append(v)
         move_targets.append(proposal_block)
-        # The scalar path draws the acceptance uniform right after evaluating
-        # the (RNG-free) proposal; drawing it here preserves the stream.
         draws.append(rng.random())
     if not move_vertices:
         return result
@@ -145,25 +110,14 @@ def _vectorized_asynchronous_batch(
     probs = acceptance_probabilities(evaluation.delta_dl, hastings, config.beta)
     accepted_idx = np.flatnonzero(np.asarray(draws) < probs)
 
-    # The derived state (matrix, degrees, sizes) is a pure function of the
-    # assignment, so a large accepted set is cheaper to apply as one
-    # vectorized rebuild than as per-move incremental updates; small sets
-    # (the common case for the hybrid variant's 64-vertex batches) stay
-    # incremental.  Both paths produce identical integer state.
-    rebuild = accepted_idx.size >= 64 and accepted_idx.size * 100 >= blockmodel.num_vertices
-    if rebuild:
-        vs = np.asarray([move_vertices[i] for i in accepted_idx], dtype=np.int64)
-        ts = np.asarray([move_targets[i] for i in accepted_idx], dtype=np.int64)
-        blockmodel.assignment[vs] = ts  # vertices are unique within a batch
-        blockmodel.refresh_derived_state()
-    for idx in accepted_idx:
-        v = move_vertices[idx]
-        target = move_targets[idx]
-        if not rebuild and int(blockmodel.assignment[v]) != target:
-            blockmodel.move_vertex(v, target)
-        result.accepted_moves += 1
-        result.delta_dl += float(evaluation.delta_dl[idx])
-        result.moves.append((v, target))
+    vertices = np.asarray(move_vertices, dtype=np.int64)[accepted_idx]
+    targets = np.asarray(move_targets, dtype=np.int64)[accepted_idx]
+    blockmodel.move_vertices(vertices, targets)  # vertices are unique within a batch
+    result.accepted_moves += int(accepted_idx.size)
+    # In-order ``sum``, not pairwise ``np.sum``: the float a move-by-move
+    # running total gives.
+    result.delta_dl += sum(evaluation.delta_dl[accepted_idx].tolist())
+    result.moves.extend(zip(vertices.tolist(), targets.tolist()))
     return result
 
 

@@ -24,7 +24,9 @@ Self-loops of ``v`` are excluded from the correction (they stay attached to
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -84,7 +86,8 @@ def propose_block_for_vertex(
         # rather than asking the RNG for an integer below 0.
         return int(rng.integers(num_blocks))
     pick = int(rng.integers(total))
-    u = int(neighbors[np.searchsorted(np.cumsum(weights), pick, side="right")])
+    # See Blockmodel.sample_neighbor_block on ``accumulate`` and ``bisect``.
+    u = int(neighbors[bisect_right(list(accumulate(weights.tolist())), pick)])
     t = int(blockmodel.assignment[u])
     # Scalar lookups instead of the block_total_degrees property, which
     # materialises a fresh length-B array on every access.

@@ -1,14 +1,17 @@
 """An α-β critical-path runtime model for the simulated distributed runs.
 
-The simulated MPI ranks all share one Python interpreter, so measured
-wall-clock equals (roughly) the *sum* of every rank's work.  What the paper's
-strong-scaling figures need is the time a real cluster would take:
-the slowest rank's compute time per phase, plus the cost of the collectives.
+The simulated MPI ranks of the ``"threads"`` transport all share one Python
+interpreter, so measured wall-clock equals (roughly) the *sum* of every
+rank's work.  What the paper's strong-scaling figures need is the time a
+real cluster would take: the slowest rank's compute time per phase, plus
+the cost of the collectives.
 
 The model charges:
 
 * **compute** — the maximum, over ranks, of the rank's measured compute
-  seconds (its own share of proposals/moves), optionally divided by an
+  seconds (its own share of proposals/moves, in thread CPU time: the
+  ``per_rank_phase_cpu_seconds`` metadata, so a thread rank is not billed
+  for the time its peers held the GIL), optionally divided by an
   intra-node thread speedup to represent the OpenMP parallelism the paper's
   implementation uses inside a rank;
 * **communication** — for every collective call, a latency term
@@ -79,7 +82,7 @@ def _per_rank_compute_seconds(result: SBPResult) -> List[float]:
     """Rank-local compute seconds, one entry per rank."""
     per_rank: Optional[List[Dict[str, float]]] = None
     if isinstance(result.metadata, dict):
-        per_rank = result.metadata.get("per_rank_phase_seconds")
+        per_rank = result.metadata.get("per_rank_phase_cpu_seconds")
     if not per_rank:
         # Sequential run: everything measured is one rank's compute.
         return [sum(result.phase_seconds.get(p, 0.0) for p in _COMPUTE_PHASES)]

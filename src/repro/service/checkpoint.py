@@ -77,9 +77,12 @@ class CheckpointWriter(RunObserver):
         source: Blockmodel = event.blockmodel  # type: ignore[assignment]
         graph = source.graph
         # Copy the assignment before the driver mutates the blockmodel again,
-        # then rebuild a contiguous, self-owned blockmodel for the snapshot.
+        # then rebuild a contiguous, self-owned blockmodel for the snapshot on
+        # the run's own storage (a "sparse_csr" run must not go dense here).
         assignment = np.asarray(source.assignment).copy()
-        blockmodel = Blockmodel.from_assignment(graph, assignment, relabel=True)
+        blockmodel = Blockmodel.from_assignment(
+            graph, assignment, relabel=True, matrix_backend=source.matrix_backend
+        )
         snapshot = SBPResult(
             graph=graph,
             blockmodel=blockmodel,

@@ -3,11 +3,11 @@
 The paper's headline guarantee for EDiSt is that the replicated blockmodels
 stay bit-identical across ranks; this repository extends the same discipline
 to its storage backends: under a fixed seed, every registered backend — the
-``"dict"`` reference, the dense vectorized ``"csr"`` array and the
-true-sparse ``"sparse_csr"`` representation (:data:`ALL_BACKENDS`) — must
-walk through *exactly* the same sequence of states: identical merge
-selections, identical assignments and identical description lengths at
-every phase boundary, through sequential SBP, DC-SBP and EDiSt alike.  The
+dense vectorized ``"csr"`` array (the default) and the true-sparse
+``"sparse_csr"`` representation (:data:`ALL_BACKENDS`) — must walk
+through *exactly* the same sequence of states: identical merge selections,
+identical assignments and identical description lengths at every phase
+boundary, through sequential SBP, DC-SBP and EDiSt alike.  The
 guarantee is enforced by tests (``tests/differential/``), not by
 convention.
 
@@ -73,13 +73,14 @@ __all__ = [
     "golden_record",
 ]
 
-#: Every storage backend the differential suite compares: the hash-map
-#: reference, the vectorized dense array and the scipy-free true-sparse
-#: representation.
+#: Every storage backend the differential suite compares: the vectorized
+#: dense array and the scipy-free true-sparse representation.
 ALL_BACKENDS: Tuple[str, ...] = tuple(BACKENDS)
 
-#: The backend whose behaviour defines correctness.
-REFERENCE_BACKEND: str = "dict"
+#: The backend the others are compared against (the default).  What defines
+#: correctness is the committed golden partitions
+#: (``tests/differential/golden/``) and the scalar kernel oracles.
+REFERENCE_BACKEND: str = "csr"
 
 #: The backends compared against the reference (pairwise identity against a
 #: common reference implies identity between the candidates too).
@@ -87,8 +88,8 @@ CANDIDATE_BACKENDS: Tuple[str, ...] = tuple(
     backend for backend in ALL_BACKENDS if backend != REFERENCE_BACKEND
 )
 
-#: Legacy alias (PR 2 era): the original two-backend comparison.
-BACKEND_PAIR: Tuple[str, str] = ("dict", "csr")
+#: The two-backend comparison of :func:`run_backend_pair`.
+BACKEND_PAIR: Tuple[str, str] = ("csr", "sparse_csr")
 
 #: The multi-rank transports the cross-transport suite compares (``"self"``
 #: is excluded: it only ever runs single-rank launches).
@@ -233,7 +234,7 @@ def run_backend_pair(
     config: SBPConfig,
     **kwargs,
 ) -> Tuple[SBPResult, SBPResult]:
-    """Run ``runner`` once per backend of :data:`BACKEND_PAIR` (legacy)."""
+    """Run ``runner`` once per backend of :data:`BACKEND_PAIR`."""
     results = run_backends(runner, graph, config, backends=BACKEND_PAIR, **kwargs)
     return results[BACKEND_PAIR[0]], results[BACKEND_PAIR[1]]
 

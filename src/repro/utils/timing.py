@@ -55,10 +55,17 @@ class PhaseTimer:
     ``communication`` and ``finetune`` buckets so that the runtime model and
     the benchmark harness can report a breakdown comparable to the paper's
     discussion (e.g. DC-SBP's single-node fine-tuning bottleneck).
+
+    :meth:`measure` also charges each phase the calling thread's CPU time
+    (``time.thread_time``), read with :meth:`cpu_as_dict`.  The runtime
+    model bills a simulated rank's compute in that clock: ranks of the
+    ``"threads"`` transport share one interpreter, so a rank's wall clock
+    also counts the time its peers held the GIL.
     """
 
     def __init__(self) -> None:
         self._timers: Dict[str, Timer] = {}
+        self._cpu: Dict[str, float] = {}
 
     def timer(self, phase: str) -> Timer:
         if phase not in self._timers:
@@ -67,8 +74,12 @@ class PhaseTimer:
 
     @contextmanager
     def measure(self, phase: str) -> Iterator[Timer]:
-        with self.timer(phase).measure() as t:
-            yield t
+        cpu_start = time.thread_time()
+        try:
+            with self.timer(phase).measure() as t:
+                yield t
+        finally:
+            self._cpu[phase] = self._cpu.get(phase, 0.0) + time.thread_time() - cpu_start
 
     def add(self, phase: str, seconds: float) -> None:
         """Charge ``seconds`` to ``phase`` without running a timer."""
@@ -83,8 +94,14 @@ class PhaseTimer:
     def as_dict(self) -> Dict[str, float]:
         return {name: t.elapsed for name, t in sorted(self._timers.items())}
 
+    def cpu_as_dict(self) -> Dict[str, float]:
+        """Thread CPU seconds per phase, for the phases run under :meth:`measure`."""
+        return dict(sorted(self._cpu.items()))
+
     def merge(self, other: "PhaseTimer") -> "PhaseTimer":
         """Accumulate another PhaseTimer's buckets into this one (in place)."""
         for name, t in other._timers.items():
             self.add(name, t.elapsed)
+        for name, seconds in other._cpu.items():
+            self._cpu[name] = self._cpu.get(name, 0.0) + seconds
         return self

@@ -1,13 +1,12 @@
 """Full-pipeline differential tests: all registered backends, pairwise.
 
-The acceptance criterion of the backend work: under a fixed seed the
-``"dict"`` reference, the dense vectorized ``"csr"`` backend and the
-true-sparse ``"sparse_csr"`` backend must produce bit-identical partitions
-and description lengths through sequential SBP, DC-SBP and EDiSt (threaded
-communicator), with the per-cycle history — each entry a phase-boundary
-observation — identical as well.  Every candidate backend is compared
-against the common reference, which implies pairwise identity across the
-whole set.
+The acceptance criterion of the backend work: under a fixed seed the dense
+vectorized ``"csr"`` default and the true-sparse ``"sparse_csr"`` backend
+must produce bit-identical partitions and description lengths through
+sequential SBP, DC-SBP and EDiSt (threaded communicator), with the
+per-cycle history — each entry a phase-boundary observation — identical as
+well.  The golden files (``test_golden.py``) pin the same pipelines to
+partitions recorded independently of either backend.
 """
 
 import pytest
@@ -15,7 +14,6 @@ import pytest
 from repro.core.config import MCMCVariant
 from repro.testing.differential import (
     ALL_BACKENDS,
-    CANDIDATE_BACKENDS,
     assert_all_results_identical,
     run_backends,
     run_dcsbp,
@@ -36,7 +34,7 @@ class TestSequential:
         results = run_backends(run_sequential, diff_graph_b, diff_config)
         assert_all_results_identical(results)
 
-    @pytest.mark.parametrize("backend", CANDIDATE_BACKENDS)
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_result_reports_requested_backend(self, diff_graph_a, diff_config, backend):
         config = diff_config.with_overrides(matrix_backend=backend)
         result = run_sequential(diff_graph_a, config)

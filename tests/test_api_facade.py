@@ -98,10 +98,12 @@ class TestConfigValidationMessages:
         for variant in MCMCVariant.ALL:
             assert variant in message
 
-    def test_bad_matrix_backend_lists_backends(self):
+    @pytest.mark.parametrize("name", ["quantum", "dict"])
+    def test_bad_matrix_backend_lists_backends(self, name):
         with pytest.raises(ValueError) as excinfo:
-            SBPConfig(matrix_backend="quantum")
+            SBPConfig(matrix_backend=name)
         message = str(excinfo.value)
+        assert f"unknown matrix_backend {name!r}" in message
         for backend in BACKENDS:
             assert repr(backend) in message
 

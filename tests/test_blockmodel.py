@@ -78,6 +78,9 @@ class TestVertexMoves:
         bm = Blockmodel.from_assignment(tiny_graph, tiny_graph.true_assignment)
         with pytest.raises(ValueError):
             bm.move_vertex(0, 5)
+        with pytest.raises(ValueError):
+            bm.move_vertices(np.array([0, 1]), np.array([1, 5]))
+        bm.check_consistency()  # a rejected batch changes nothing
 
     def test_move_with_precomputed_counts(self, tiny_graph):
         bm = Blockmodel.from_assignment(tiny_graph, tiny_graph.true_assignment)

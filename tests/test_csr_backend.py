@@ -2,9 +2,9 @@
 
 Covers the :class:`CSRBlockMatrix` storage class itself, the batched
 ``delta_dl_for_moves`` / ``hastings_corrections`` kernels against their
-scalar references, and the headline guarantee: the ``"dict"`` and ``"csr"``
-backends produce identical partitions and description lengths under a fixed
-seed for every MCMC variant.
+scalar oracles, and the headline guarantee: the ``"csr"`` default and the
+``"sparse_csr"`` backend produce identical partitions and description
+lengths under a fixed seed for every MCMC variant.
 """
 
 import numpy as np
@@ -13,8 +13,8 @@ import pytest
 from repro.blockmodel.blockmodel import Blockmodel
 from repro.blockmodel.csr_matrix import CSRBlockMatrix, MAX_DENSE_BLOCKS
 from repro.blockmodel.deltas import delta_dl_for_move, delta_dl_for_moves
-from repro.blockmodel.sparse_matrix import SparseBlockMatrix
-from repro.core.config import BACKENDS, SBPConfig
+from repro.blockmodel.sparse_csr_matrix import SparseCSRBlockMatrix
+from repro.core.config import BACKENDS, DEFAULT_BACKEND, SBPConfig
 from repro.core.hybrid_mcmc import batch_gibbs_sweep
 from repro.core.proposals import (
     acceptance_probabilities,
@@ -43,26 +43,27 @@ def equiv_graph() -> Graph:
 
 
 class TestCSRBlockMatrix:
-    def test_scalar_api_matches_dict_backend(self):
+    def test_scalar_api_matches_dense_array(self):
         rng = np.random.default_rng(0)
         dense = rng.integers(0, 5, size=(6, 6))
         csr = CSRBlockMatrix.from_dense(dense)
-        ref = SparseBlockMatrix.from_dense(dense)
-        assert csr.total() == ref.total()
-        assert csr.nnz() == ref.nnz()
+        assert csr.total() == dense.sum()
+        assert csr.nnz() == np.count_nonzero(dense)
         for i in range(6):
-            assert csr.row(i) == ref.row(i)
-            assert csr.col(i) == ref.col(i)
-            assert csr.row_sum(i) == ref.row_sum(i)
-            assert csr.col_sum(i) == ref.col_sum(i)
-        assert np.array_equal(csr.row_sums(), ref.row_sums())
-        assert np.array_equal(csr.col_sums(), ref.col_sums())
-        assert sorted(csr.entries()) == sorted(ref.entries())
+            assert csr.row(i) == {int(j): int(dense[i, j]) for j in np.flatnonzero(dense[i])}
+            assert csr.col(i) == {int(k): int(dense[k, i]) for k in np.flatnonzero(dense[:, i])}
+            assert csr.row_sum(i) == dense[i].sum()
+            assert csr.col_sum(i) == dense[:, i].sum()
+        assert np.array_equal(csr.row_sums(), dense.sum(axis=1))
+        assert np.array_equal(csr.col_sums(), dense.sum(axis=0))
+        assert list(csr.entries()) == [
+            (int(i), int(j), int(dense[i, j])) for i, j in zip(*np.nonzero(dense))
+        ]
 
     def test_cross_backend_equality(self):
         dense = np.array([[0, 2], [3, 1]])
         csr = CSRBlockMatrix.from_dense(dense)
-        ref = SparseBlockMatrix.from_dense(dense)
+        ref = SparseCSRBlockMatrix.from_dense(dense)
         assert csr == ref
         assert ref == csr
         csr.add(0, 0, 1)
@@ -132,35 +133,42 @@ class TestCSRBlockMatrix:
 
 class TestBlockmodelBackendWiring:
     def test_from_graph_backends_agree(self, equiv_graph):
-        bm_dict = Blockmodel.from_graph(equiv_graph, num_blocks=16, matrix_backend="dict")
+        bm_sparse = Blockmodel.from_graph(equiv_graph, num_blocks=16, matrix_backend="sparse_csr")
         bm_csr = Blockmodel.from_graph(equiv_graph, num_blocks=16, matrix_backend="csr")
-        assert bm_dict.matrix_backend == "dict"
+        assert bm_sparse.matrix_backend == "sparse_csr"
         assert bm_csr.matrix_backend == "csr"
-        assert bm_csr.matrix == bm_dict.matrix
+        assert bm_csr.matrix == bm_sparse.matrix
         bm_csr.check_consistency()
 
-    def test_unknown_backend_rejected(self, equiv_graph):
+    def test_csr_is_the_default(self, equiv_graph):
+        assert DEFAULT_BACKEND == "csr"
+        assert SBPConfig().matrix_backend == DEFAULT_BACKEND
+        assert Blockmodel.from_graph(equiv_graph).matrix_backend == DEFAULT_BACKEND
+        assert set(BACKENDS) == {"csr", "sparse_csr"}
+
+    @pytest.mark.parametrize("name", ["cupy", "dict"])
+    def test_unknown_backend_rejected(self, equiv_graph, name):
         for call in (
-            lambda: Blockmodel.from_graph(equiv_graph, matrix_backend="cupy"),
-            lambda: SBPConfig(matrix_backend="cupy"),
+            lambda: Blockmodel.from_graph(equiv_graph, matrix_backend=name),
+            lambda: SBPConfig(matrix_backend=name),
         ):
             with pytest.raises(ValueError) as excinfo:
                 call()
             message = str(excinfo.value)
-            assert "unknown matrix_backend 'cupy'" in message
-            for name in BACKENDS:
-                assert repr(name) in message
+            assert f"unknown matrix_backend {name!r}" in message
+            for valid in BACKENDS:
+                assert repr(valid) in message
 
-    def test_move_vertex_matches_dict_backend(self, equiv_graph):
-        bm_dict = Blockmodel.from_graph(equiv_graph, num_blocks=8, matrix_backend="dict")
+    def test_move_vertex_matches_sparse_backend(self, equiv_graph):
+        bm_sparse = Blockmodel.from_graph(equiv_graph, num_blocks=8, matrix_backend="sparse_csr")
         bm_csr = Blockmodel.from_graph(equiv_graph, num_blocks=8, matrix_backend="csr")
         rng = np.random.default_rng(1)
         for _ in range(50):
             v = int(rng.integers(equiv_graph.num_vertices))
             t = int(rng.integers(8))
-            bm_dict.move_vertex(v, t)
+            bm_sparse.move_vertex(v, t)
             bm_csr.move_vertex(v, t)
-        assert bm_csr.matrix == bm_dict.matrix
+        assert bm_csr.matrix == bm_sparse.matrix
         bm_csr.check_consistency()
 
     def test_merges_preserve_backend(self, equiv_graph):
@@ -184,29 +192,27 @@ class TestBlockmodelBackendWiring:
 class TestBatchedKernels:
     def test_delta_dl_for_moves_matches_scalar(self, equiv_graph):
         bm_csr = Blockmodel.from_graph(equiv_graph, num_blocks=12, matrix_backend="csr")
-        bm_dict = Blockmodel.from_graph(equiv_graph, num_blocks=12, matrix_backend="dict")
         rng = np.random.default_rng(3)
         vertices = rng.integers(0, equiv_graph.num_vertices, size=80)
         targets = rng.integers(0, 12, size=80)
         batch = delta_dl_for_moves(bm_csr, vertices, targets)
         for k, (v, t) in enumerate(zip(vertices.tolist(), targets.tolist())):
-            scalar = delta_dl_for_move(bm_dict, v, t)
+            scalar = delta_dl_for_move(bm_csr, v, t)
             assert batch.delta_dl[k] == pytest.approx(scalar.delta_dl, abs=1e-9)
 
     def test_hastings_corrections_match_scalar(self, equiv_graph):
         bm_csr = Blockmodel.from_graph(equiv_graph, num_blocks=12, matrix_backend="csr")
-        bm_dict = Blockmodel.from_graph(equiv_graph, num_blocks=12, matrix_backend="dict")
         rng = np.random.default_rng(4)
         vertices = rng.integers(0, equiv_graph.num_vertices, size=80)
         targets = rng.integers(0, 12, size=80)
         batch = delta_dl_for_moves(bm_csr, vertices, targets)
         corrections = hastings_corrections(bm_csr, batch)
         for k, (v, t) in enumerate(zip(vertices.tolist(), targets.tolist())):
-            move = delta_dl_for_move(bm_dict, v, t)
+            move = delta_dl_for_move(bm_csr, v, t)
             if move.from_block == move.to_block:
                 assert corrections[k] == 1.0
                 continue
-            scalar = hastings_correction(bm_dict, move.counts, move.from_block, move.to_block)
+            scalar = hastings_correction(bm_csr, move.counts, move.from_block, move.to_block)
             assert corrections[k] == pytest.approx(scalar, abs=1e-9)
 
     def test_batched_delta_matches_full_recomputation(self, equiv_graph):
@@ -222,11 +228,6 @@ class TestBatchedKernels:
             after_model = bm.copy()
             after_model.move_vertex(v, t)
             assert batch.delta_dl[0] == pytest.approx(after_model.description_length() - before, abs=1e-7)
-
-    def test_delta_dl_for_moves_requires_batched_backend(self, equiv_graph):
-        bm = Blockmodel.from_graph(equiv_graph, num_blocks=4, matrix_backend="dict")
-        with pytest.raises(TypeError):
-            delta_dl_for_moves(bm, np.array([0]), np.array([1]))
 
     def test_acceptance_probabilities_match_scalar(self):
         class _Eval:
@@ -247,22 +248,24 @@ class TestBackendEquivalence:
     def test_identical_partitions_and_dl(self, equiv_graph, variant):
         """The acceptance criterion: both backends, same seed → same result."""
         config = SBPConfig.fast(seed=7).with_overrides(mcmc_variant=variant)
-        result_dict = stochastic_block_partition(equiv_graph, config.with_overrides(matrix_backend="dict"))
+        result_sparse = stochastic_block_partition(
+            equiv_graph, config.with_overrides(matrix_backend="sparse_csr")
+        )
         result_csr = stochastic_block_partition(equiv_graph, config.with_overrides(matrix_backend="csr"))
-        assert np.array_equal(result_dict.blockmodel.assignment, result_csr.blockmodel.assignment)
-        assert result_csr.description_length == pytest.approx(result_dict.description_length, rel=1e-9)
+        assert np.array_equal(result_sparse.blockmodel.assignment, result_csr.blockmodel.assignment)
+        assert result_csr.description_length == result_sparse.description_length
         assert result_csr.blockmodel.matrix_backend == "csr"
 
     def test_sweep_level_equivalence(self, equiv_graph):
         """A single batch-Gibbs sweep leaves both backends in identical states."""
         config = SBPConfig(seed=0, mcmc_variant="batch_gibbs")
-        bm_dict = Blockmodel.from_graph(equiv_graph, num_blocks=16, matrix_backend="dict")
+        bm_sparse = Blockmodel.from_graph(equiv_graph, num_blocks=16, matrix_backend="sparse_csr")
         bm_csr = Blockmodel.from_graph(equiv_graph, num_blocks=16, matrix_backend="csr")
         vertices = np.arange(equiv_graph.num_vertices)
         for sweep in range(3):
-            res_dict = batch_gibbs_sweep(bm_dict, vertices, config, np.random.default_rng(sweep))
+            res_sparse = batch_gibbs_sweep(bm_sparse, vertices, config, np.random.default_rng(sweep))
             res_csr = batch_gibbs_sweep(bm_csr, vertices, config, np.random.default_rng(sweep))
-            assert res_dict.moves == res_csr.moves
-            assert np.array_equal(bm_dict.assignment, bm_csr.assignment)
-            assert bm_csr.matrix == bm_dict.matrix
+            assert res_sparse.moves == res_csr.moves
+            assert np.array_equal(bm_sparse.assignment, bm_csr.assignment)
+            assert bm_csr.matrix == bm_sparse.matrix
         bm_csr.check_consistency()

@@ -78,6 +78,7 @@ class TestDCSBPEndToEnd:
         assert "combine" in result.phase_seconds
         assert "finetune" in result.phase_seconds
         assert len(result.metadata["per_rank_phase_seconds"]) == 4
+        assert len(result.metadata["per_rank_phase_cpu_seconds"]) == 4
 
     def test_assignment_covers_every_vertex(self, planted_graph, fast_config):
         result = divide_and_conquer_sbp(planted_graph, 4, fast_config)

@@ -105,6 +105,7 @@ class TestEDiStEndToEnd:
         assert result.comm_stats is not None
         assert result.comm_stats.calls.get("allgather", 0) > 0
         assert len(result.metadata["per_rank_phase_seconds"]) == 2
+        assert len(result.metadata["per_rank_phase_cpu_seconds"]) == 2
 
     def test_validate_mode_checks_replica_consistency(self, planted_graph):
         config = SBPConfig.fast(seed=3).with_overrides(validate=True, max_mcmc_iterations=4)

@@ -1,12 +1,13 @@
 """Property-based tests (hypothesis) for the core data structures and invariants."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.blockmodel.blockmodel import Blockmodel, resolve_merge_chain
 from repro.blockmodel.deltas import delta_dl_for_merge, delta_dl_for_move
 from repro.blockmodel.entropy import h_function
-from repro.blockmodel.sparse_matrix import SparseBlockMatrix
+from repro.core.config import BACKENDS
 from repro.evaluation.nmi import normalized_mutual_information, partition_entropy
 from repro.graphs.graph import Graph
 from repro.utils.rng import derive_seed
@@ -48,12 +49,13 @@ def graphs_with_assignments(draw):
 
 
 # ----------------------------------------------------------------------
-# Sparse matrix invariants
+# Block matrix invariants
 # ----------------------------------------------------------------------
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
 @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(1, 9)), max_size=40))
 @settings(max_examples=60, deadline=None)
-def test_sparse_matrix_matches_dense_accumulation(entries):
-    matrix = SparseBlockMatrix(6)
+def test_block_matrix_matches_dense_accumulation(backend, entries):
+    matrix = BACKENDS[backend](6)
     dense = np.zeros((6, 6), dtype=np.int64)
     for i, j, w in entries:
         matrix.add(i, j, w)

@@ -253,7 +253,7 @@ def test_fingerprint_ignores_seed_and_provenance_but_not_config():
     assert config_fingerprint(base) == config_fingerprint(
         make_record(seed=999, git_rev="other", hostname="elsewhere", wall_seconds=42.0)
     )
-    assert config_fingerprint(base) != config_fingerprint(make_record(backend="dict"))
+    assert config_fingerprint(base) != config_fingerprint(make_record(backend="sparse_csr"))
     assert config_fingerprint(base) != config_fingerprint(make_record(mode="full"))
 
 

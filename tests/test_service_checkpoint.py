@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.api import Partitioner, partition
+from repro.blockmodel.blockmodel import Blockmodel
 from repro.core.context import RunObserver
 from repro.core.results import SBPResult
 from repro.service import (
@@ -83,6 +84,27 @@ class TestCheckpointWriter:
         context.emit_cycle(1, 10, 100.0, 1, 1)  # no blockmodel attached
         assert writer.skipped == 1
         assert writer.written == 0
+
+    @pytest.mark.parametrize("backend", ["csr", "sparse_csr"])
+    def test_snapshot_is_rebuilt_on_the_run_backend(
+        self, planted_graph, fast_config, tmp_path, monkeypatch, backend
+    ):
+        # A "sparse_csr" run must not allocate a dense B×B matrix at every
+        # checkpoint: the snapshot rebuild keeps the run's storage.
+        built = []
+        original = Blockmodel.from_assignment.__func__
+
+        def recording(cls, *args, **kwargs):
+            blockmodel = original(cls, *args, **kwargs)
+            built.append(blockmodel.matrix_backend)
+            return blockmodel
+
+        monkeypatch.setattr(Blockmodel, "from_assignment", classmethod(recording))
+        writer = CheckpointWriter(tmp_path / "run.checkpoint.json", every=1)
+        config = fast_config.with_overrides(matrix_backend=backend)
+        partition(planted_graph, config=config, observers=[writer])
+        assert writer.written >= 1
+        assert set(built) == {backend}
 
 
 class TestWarmResume:

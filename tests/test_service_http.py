@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.api import STRATEGIES, partition
+from repro.core.config import BACKENDS, SBPConfig
 from repro.core.context import RunContext
 from repro.core.results import SBPResult
 from repro.graphs.io import graph_to_dict
@@ -132,6 +133,25 @@ class TestRoutingAndErrors:
         assert status == 400, payload
         assert payload["error"]["field"] == field
         assert field.split(".")[-1] in payload["error"]["message"]
+
+    @pytest.mark.parametrize("backend", ["dict", "quantum"])
+    @pytest.mark.parametrize("field", ["config", "overrides"])
+    def test_unknown_matrix_backend_names_the_field_and_lists_backends(
+        self, service, field, backend
+    ):
+        body = json.loads(json.dumps(EDGES_BODY))
+        if field == "config":
+            body.pop("preset")
+            body["config"] = dict(SBPConfig.fast().to_dict(), matrix_backend=backend)
+        else:
+            body["overrides"] = {"matrix_backend": backend}
+        status, payload = call(service.base_url + "/jobs", "POST", body)
+        assert status == 400, payload
+        assert payload["error"]["field"] == field
+        message = payload["error"]["message"]
+        assert f"unknown matrix_backend {backend!r}" in message
+        for valid in BACKENDS:
+            assert repr(valid) in message
 
     @pytest.mark.parametrize("name", [*STRATEGIES, "sbp"])
     def test_partition_and_http_accept_the_same_strategy_names(self, name):
